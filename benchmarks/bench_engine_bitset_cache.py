@@ -6,7 +6,7 @@ Three claims, each measured and enforced:
 1. **Warm-cache scoring** — ``dominated_counts`` against a cached
    :class:`~repro.engine.kernels.PreparedDataset` (tables built once per
    dataset fingerprint, the PR's session-level cache) must beat the PR 1
-   behaviour of rebuilding the ``O(d·n²/64)`` tables on every call by at
+   behaviour of rebuilding the value-keyed tables on every call by at
    least 3x at n=4000, d=4.
 2. **Mask route** — ``dominance_matrix_blocked(route="bitset")`` (packed
    rows + unpack adapter) must beat ``route="broadcast"`` (the ``(b, n,

@@ -45,9 +45,7 @@ from repro.engine.backend import (
     native_build_error,
     use_backend,
 )
-from repro.engine.kernels import PreparedDataset, _BitsetTables
-
-_CHUNK = 8192  # the kernels' bitset batch granularity
+from repro.engine.kernels import PreparedDataset, _row_step
 
 
 def _best_of(repeats, fn):
@@ -61,10 +59,11 @@ def _best_of(repeats, fn):
 
 def _accumulator_pass(backend, tables, lo, hi, n):
     out = np.empty(n, dtype=np.int64)
-    for start in range(0, n, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, n), dtype=np.intp)
+    chunk = _row_step(tables.words)  # the kernels' bitset batch granularity
+    for start in range(0, n, chunk):
+        idx = np.arange(start, min(start + chunk, n), dtype=np.intp)
         out[idx] = backend.accumulator_counts(
-            tables, lo, hi, idx, direction="dominated", live=None
+            tables, lo, hi, idx, direction="dominated"
         )
     return out
 
@@ -102,10 +101,12 @@ def main() -> int:
     prepared = PreparedDataset(dataset)
     print(f"workload: n={n} d={dataset.d} σ={args.missing_rate}")
     start = time.perf_counter()
-    # Built directly: at n=20000 the ~400MB tables exceed the session
-    # cache budget, but the kernels themselves have no such limit.
-    tables = _BitsetTables(prepared.lo, prepared.hi)
-    print(f"bitset tables: {tables.nbytes / 1e6:.0f}MB built in {time.perf_counter() - start:.1f}s")
+    # The tables the default route builds (value-keyed, under the budget).
+    tables = prepared.tables()
+    if tables is None:
+        print("FAIL: the default route refused the bitset tables", file=sys.stderr)
+        return 1
+    print(f"bitset tables: {tables.nbytes / 1e6:.1f}MB built in {time.perf_counter() - start:.3f}s")
 
     # -- claim 1: fused accumulator hot loop -------------------------------
     per_backend = {}
@@ -122,14 +123,14 @@ def main() -> int:
         return 2
     speedup = numpy_s / native_s if native_s > 0 else float("inf")
     print(
-        f"fused accumulator pass ({n} rows, chunk {_CHUNK}): "
+        f"fused accumulator pass ({n} rows, chunk {_row_step(tables.words)}): "
         f"numpy {numpy_s * 1e3:.0f}ms, native {native_s * 1e3:.0f}ms -> "
         f"{speedup:.2f}x (floor {args.min_speedup:.1f}x)"
     )
 
     # Context: the raw per-row popcount alone (no gather/AND fusion).
     words = np.random.default_rng(1).integers(
-        0, 2**64, size=(_CHUNK, tables.words), dtype=np.uint64
+        0, 2**64, size=(_row_step(tables.words), tables.words), dtype=np.uint64
     )
     pop = {}
     for name in ("numpy", "native"):
@@ -140,16 +141,12 @@ def main() -> int:
         return 2
     pop_speedup = pop["numpy"][0] / max(pop["native"][0], 1e-9)
     print(
-        f"raw popcount ({_CHUNK}x{tables.words} words): "
+        f"raw popcount ({words.shape[0]}x{tables.words} words): "
         f"numpy {pop['numpy'][0] * 1e3:.2f}ms, native {pop['native'][0] * 1e3:.2f}ms -> "
         f"{pop_speedup:.2f}x (context only)"
     )
 
     # -- claim 2: per-task payload cost, attach vs unpickle ----------------
-    prepared.warm()  # ship the tables too, as the session export would
-    if prepared.tables() is None:
-        prepared._tables = tables  # keep the comparison honest at full size
-
     def pickle_roundtrip():
         blob = pickle.dumps(prepared.state_arrays(), protocol=pickle.HIGHEST_PROTOCOL)
         return PreparedDataset.from_state(pickle.loads(blob))
@@ -191,7 +188,7 @@ def main() -> int:
         "n": n,
         "d": dataset.d,
         "missing_rate": args.missing_rate,
-        "chunk": _CHUNK,
+        "chunk": _row_step(tables.words),
         "table_bytes": tables.nbytes,
         "accumulator_numpy_seconds": numpy_s,
         "accumulator_native_seconds": native_s,

@@ -55,9 +55,7 @@ from repro.engine.backend import (
     use_simd_route,
 )
 from repro.datasets.synthetic import independent_dataset
-from repro.engine.kernels import PreparedDataset, _BitsetTables
-
-_CHUNK = 8192  # the kernels' bitset batch granularity
+from repro.engine.kernels import PreparedDataset, _row_step
 
 
 def _best_of(repeats, fn):
@@ -71,10 +69,11 @@ def _best_of(repeats, fn):
 
 def _accumulator_pass(backend, tables, lo, hi, n):
     out = np.empty(n, dtype=np.int64)
-    for start in range(0, n, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, n), dtype=np.intp)
+    chunk = _row_step(tables.words)  # the kernels' bitset batch granularity
+    for start in range(0, n, chunk):
+        idx = np.arange(start, min(start + chunk, n), dtype=np.intp)
         out[idx] = backend.accumulator_counts(
-            tables, lo, hi, idx, direction="dominated", live=None
+            tables, lo, hi, idx, direction="dominated"
         )
     return out
 
@@ -151,8 +150,12 @@ def main() -> int:
         f"cpu(s), build '{native_build_mode()}', routes {'/'.join(routes)}, "
         f"auto -> {best_route}"
     )
-    tables = _BitsetTables(prepared.lo, prepared.hi)
-    print(f"bitset tables: {tables.nbytes / 1e6:.0f}MB")
+    # The tables the default route builds (value-keyed, under the budget).
+    tables = prepared.tables()
+    if tables is None:
+        print("FAIL: the default route refused the bitset tables", file=sys.stderr)
+        return 1
+    print(f"bitset tables: {tables.nbytes / 1e6:.1f}MB")
 
     with use_backend("numpy") as backend:
         numpy_s, reference = _best_of(
@@ -205,7 +208,7 @@ def main() -> int:
         "n": n,
         "d": dataset.d,
         "missing_rate": args.missing_rate,
-        "chunk": _CHUNK,
+        "chunk": _row_step(tables.words),
         "table_bytes": tables.nbytes,
         "cpu_count": cpus,
         "build_mode": native_build_mode(),

@@ -9,10 +9,10 @@ walks the layer that changed that:
    dataset *versions* whose fingerprints derive from the parent's
    (``H(parent, delta)``), so identity costs ``O(|delta|·d)`` per change
    instead of an ``O(n·d)`` rehash.
-2. **Patched tables** — the engine splices the packed bitset tables to
-   the child version (tombstoned deletions, rank moves for updates) and
-   adjusts dominated counts for affected objects only; answers stay
-   bit-identical to a cold rebuild.
+2. **Patched tables** — the engine patches the packed bitset tables to
+   the child version (tombstoned deletions, bit moves between value rows
+   for updates) and adjusts dominated counts for affected objects only;
+   answers stay bit-identical to a cold rebuild.
 3. **Incremental queries** — ``engine.query(child, k)`` answers straight
    from the maintained score vector (``algorithm="incremental"``).
 4. **Continuous top-k** — ``engine.continuous`` keeps a leaderboard

@@ -64,7 +64,7 @@ def score_all(
 
     Repeated full scans of the same dataset reuse the engine's
     fingerprint-keyed bitset tables (built on the first scan), so a sweep
-    pays the ``O(d·n²/64)`` table construction once.
+    pays the table construction once.
     """
     return dominated_counts(dataset, None, block=block, prepared=prepared)
 

@@ -24,11 +24,11 @@ dimension is a threshold test, so the objects satisfying it form a
 *suffix* of that dimension's sort order, and the objects failing the
 strict test form a *prefix* — the same observation behind the paper's
 range-encoded bitmap index (Section 4.3), here packed into uint64 words.
-Per dimension we precompute cumulative prefix/suffix bitsets; a whole
-block of objects is then scored with ``2·d`` row gathers, ``2·(d−1)``
-packed ANDs and one popcount::
+Per dimension we precompute cumulative prefix/suffix bitsets, one row per
+distinct value; a whole block of objects is then scored with ``2·d`` row
+gathers, ``2·(d−1)`` packed ANDs and one popcount::
 
-    score(o) = popcount( ∩_i SUFFIX_i[rank_ge(o,i)]  &  ~∩_i PREFIX_i[rank_le(o,i)] )
+    score(o) = popcount( ∩_i SUFFIX_i[key_ge(o,i)]  &  ~∩_i PREFIX_i[key_le(o,i)] )
 
 which touches ``n/64`` words per object per dimension instead of ``n``
 booleans. The same two accumulators, combined the other way round, give
@@ -39,9 +39,11 @@ directions; and the packed rows unpack into exact boolean dominated-masks
 (:func:`unpack_mask_bits`), which is how ``dominance_matrix`` and the MFD
 operator ride this route too.
 
-Tables are ``O(d·n²/8)`` bytes, so they are built only when a batch is
-big enough to amortise the cost and the tables fit a fixed memory budget
-— **or when a previous call already paid for them**: tables live in a
+Tables are ``2·Σ_i (U_i + 1)·⌈n/64⌉·8`` bytes for ``U_i`` distinct values
+per dimension (``O(d·n²/8)`` only for continuous columns), so they are
+built only when a batch is big enough to amortise the cost and the tables
+fit a fixed memory budget — **or when a previous call already paid for
+them**: tables live in a
 :class:`PreparedDataset` cached by content fingerprint inside the engine
 session layer (:mod:`repro.engine.session`), so repeated sweeps, the MFD
 operator, ``query_many`` batches and the experiment harness build them
@@ -85,7 +87,8 @@ __all__ = [
 #: comparisons keeps the temporaries of a kernel step within a few MB.
 _BLOCK_ELEMENT_BUDGET = 4_000_000
 
-#: Ceiling for the packed prefix/suffix tables (2·d·(n+1)·⌈n/64⌉·8 bytes).
+#: Ceiling for the packed prefix/suffix tables, checked against their real
+#: size ``2·Σ_i (U_i + 1)·⌈n/64⌉·8`` (``U_i`` distinct values per dimension).
 _BITSET_TABLE_BUDGET_BYTES = 256 * 1024 * 1024
 
 #: Datasets below this size never consult the shared prepared cache: a
@@ -93,8 +96,10 @@ _BITSET_TABLE_BUDGET_BYTES = 256 * 1024 * 1024
 #: so the broadcast kernel is the whole story anyway.
 _MIN_SHARED_N = 512
 
-#: Row-batch bound for the (b, W) bitset gather temporaries.
-_BITSET_ROW_STEP = 8192
+#: Byte bound for one bitset-route temporary: the (b, W) accumulators and
+#: gathered rows (:func:`_row_step` turns it into rows per batch for a table
+#: width) and the boolean scratch a table build packs (:func:`_holder_rows`).
+_BITSET_STEP_BYTES = 2 * 1024 * 1024
 
 #: Per-byte popcounts for the uint64→uint8 view (endianness-agnostic).
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
@@ -190,207 +195,163 @@ def _blocked_counts(
 # ---------------------------------------------------------------------------
 
 def _bitset_table_bytes(n: int, d: int) -> int:
+    """Worst-case table bytes (every value distinct): the planner's estimate.
+
+    The tables actually built are keyed by distinct value and measured by
+    :func:`_value_table_bytes`; this ``U = n`` bound stays the price
+    :mod:`repro.engine.planner` charges before any data is sorted.
+    """
     words = (n + 63) >> 6
     return 2 * d * (n + 1) * words * 8
 
 
-def _use_bitsets(n: int, d: int, batch: int, *, cached: bool = False) -> bool:
-    """Bitsets pay when the batch amortises the O(d·n²/64) table build.
+def _use_bitsets(n: int, batch: int, *, cached: bool = False) -> bool:
+    """Bitsets pay when the batch amortises the table build.
 
     With ``cached=True`` the tables already exist (a previous call, or the
     session's :class:`PreparedDataset` cache, paid for them), so *any*
     batch rides them — ``2·d`` row gathers per object beat an ``O(n·d)``
-    broadcast row regardless of batch size.
+    broadcast row regardless of batch size. The byte budget is enforced
+    by :meth:`PreparedDataset.tables` against the real value-table size.
     """
-    fits = _bitset_table_bytes(n, d) <= _BITSET_TABLE_BUDGET_BYTES
     if cached:
-        return fits
-    return batch >= 256 and batch * 16 >= n and n >= 512 and fits
+        return True
+    return batch >= 256 and batch * 16 >= n and n >= 512
 
 
-def _rank_position(
-    vals: np.ndarray, order: np.ndarray, value: float, slot: int, *, existing: bool = False
-) -> int:
-    """Stable sorted position of ``(value, slot)`` in one dimension's order.
+def _row_step(words: int) -> int:
+    """Rows per bitset-route batch so one ``(b, W)`` temporary stays
+    within :data:`_BITSET_STEP_BYTES`."""
+    return max(_BITSET_STEP_BYTES // (8 * max(words, 1)), 1)
 
-    Tie blocks are kept ordered by storage slot (the stable-argsort
-    invariant), so the position inside the block of equal values is found
-    by a second binary search over the slot numbers. With ``existing=True``
-    the entry must already be present and its exact position is returned.
+
+def _pack_bits(mask: np.ndarray) -> np.ndarray:
+    """Boolean ``(..., 64·W)`` → packed uint64 ``(..., W)``.
+
+    Bit ``j`` of word ``w`` is column ``64·w + j`` — the layout every
+    table, live mask and observed bitset uses (:func:`unpack_mask_bits`
+    is the inverse). Little-endian packing then a ``<u8`` view keeps it
+    portable across host byte orders.
     """
-    left = int(np.searchsorted(vals, value, side="left"))
-    right = int(np.searchsorted(vals, value, side="right"))
-    position = left + int(np.searchsorted(order[left:right], slot))
-    if existing and (position >= right or order[position] != slot):
-        raise InvalidParameterError(
-            f"rank entry for slot {slot} at value {value!r} not found (corrupt tables?)"
-        )
-    return position
+    packed = np.packbits(mask, axis=-1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64, copy=False)
 
 
-def _spliced_rank_row(table: np.ndarray, position: int, slot: int, kind: str, width: int) -> np.ndarray:
-    """A copy of *table* with the rank row for *slot* spliced in at *position*.
+def _sorted_column(column: np.ndarray, slots: np.ndarray):
+    """``(keys, codes, ordered)`` for the values ``column[slots]``.
 
-    Row ``position`` is duplicated (both halves of the split keep their
-    meaning) and the new object's bit is OR-ed into the half that must
-    contain it: rows ``[0..position]`` for a suffix table ("objects at
-    sorted positions >= r"), rows ``[position+1..]`` for a prefix table
-    ("objects at positions < r"). Dispatches to the active kernel backend
-    (:mod:`repro.engine.backend`); all backends splice bit-identically.
+    ``keys`` are the ascending distinct values, ``ordered`` the slots in
+    value order and ``codes`` the key index of each of them.
     """
-    return get_backend().spliced_rank_row(table, position, slot, kind, width)
+    ordered = slots[np.argsort(column[slots])]
+    values = column[ordered]
+    fresh = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=fresh[1:])
+    return values[fresh], np.cumsum(fresh) - 1, ordered
 
 
-def _spliced_rank_row_numpy(
-    table: np.ndarray, position: int, slot: int, kind: str, width: int
-) -> np.ndarray:
-    """The portable numpy splice (the ``numpy`` backend's implementation)."""
-    rows, w = table.shape
-    if width > w:
-        out = np.zeros((rows + 1, width), dtype=np.uint64)
-    else:
-        out = np.empty((rows + 1, w), dtype=np.uint64)
-    out[: position + 1, :w] = table[: position + 1]
-    out[position + 1 :, :w] = table[position:]
-    bit_word, bit_mask = slot >> 6, np.uint64(1) << np.uint64(slot & 63)
-    if kind == "suffix":
-        out[: position + 1, bit_word] |= bit_mask
-    else:
-        out[position + 1 :, bit_word] |= bit_mask
-    return out
+def _value_columns(lo: np.ndarray, hi: np.ndarray, slots: np.ndarray) -> list:
+    """Per dimension, the sorted ``hi`` and ``lo`` columns of *slots*."""
+    return [
+        (_sorted_column(hi[:, dim], slots), _sorted_column(lo[:, dim], slots))
+        for dim in range(lo.shape[1])
+    ]
 
 
-def _moved_rank_row(table: np.ndarray, q: int, p: int, slot: int, kind: str) -> np.ndarray:
-    """A copy of *table* with *slot*'s rank row moved from *q* to *p*.
+def _value_table_bytes(columns: list, words: int) -> int:
+    """Bytes of the tables over *columns*: ``Σ (U_hi + 1 + U_lo + 1)·W·8``."""
+    rows = sum(hi_col[0].size + lo_col[0].size + 2 for hi_col, lo_col in columns)
+    return rows * words * 8
 
-    The fused remove-then-insert of an update: *q* is the old sorted
-    position, *p* the insertion position in the removed order. One
-    allocation and one pass — only the rows between the two positions
-    shift, everything else is a straight copy (what makes a single-row
-    update an order of magnitude cheaper than a rebuild). Dispatches to
-    the active kernel backend.
+
+def _holder_rows(codes: np.ndarray, ordered: np.ndarray, rows: int, words: int) -> np.ndarray:
+    """``(rows, words)`` bitsets: row ``r`` holds the slots of key ``r``.
+
+    The boolean scratch is filled a byte-bounded block of keys at a time
+    and packed with :func:`_pack_bits`.
     """
-    return get_backend().moved_rank_row(table, q, p, slot, kind)
-
-
-def _moved_rank_row_numpy(
-    table: np.ndarray, q: int, p: int, slot: int, kind: str
-) -> np.ndarray:
-    """The portable numpy move (the ``numpy`` backend's implementation)."""
-    out = np.empty_like(table)
-    bit_word, bit_mask = slot >> 6, np.uint64(1) << np.uint64(slot & 63)
-    if p <= q:
-        out[: p + 1] = table[: p + 1]
-        out[p + 1 : q + 2] = table[p : q + 1]
-        out[q + 2 :] = table[q + 2 :]
-        if kind == "suffix":
-            out[: p + 1, bit_word] |= bit_mask
-            out[p + 1 : q + 2, bit_word] &= ~bit_mask
-        else:
-            out[p + 1 : q + 2, bit_word] |= bit_mask
-    else:
-        out[: q + 1] = table[: q + 1]
-        out[q + 1 : p + 1] = table[q + 2 : p + 2]
-        out[p + 1 :] = table[p + 1 :]
-        if kind == "suffix":
-            out[: p + 1, bit_word] |= bit_mask
-        else:
-            out[q + 1 : p + 1, bit_word] &= ~bit_mask
-    return out
-
-
-def _moved_entry(values: np.ndarray, q: int, p: int, value) -> np.ndarray:
-    """The matching move in a 1-D sorted-values / order array."""
-    out = np.empty_like(values)
-    if p <= q:
-        out[:p] = values[:p]
-        out[p] = value
-        out[p + 1 : q + 1] = values[p:q]
-        out[q + 1 :] = values[q + 1 :]
-    else:
-        out[:q] = values[:q]
-        out[q:p] = values[q + 1 : p + 1]
-        out[p] = value
-        out[p + 1 :] = values[p + 1 :]
+    out = np.empty((rows, words), dtype=np.uint64)
+    step = max(_BITSET_STEP_BYTES // (64 * words), 1)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        first, last = np.searchsorted(codes, (start, stop))
+        mask = np.zeros((stop - start, 64 * words), dtype=bool)
+        mask[codes[first:last] - start, ordered[first:last]] = True
+        out[start:stop] = _pack_bits(mask)
     return out
 
 
 class _BitsetTables:
-    """Per-dimension packed prefix/suffix bitsets over the sort orders.
+    """Per-dimension packed suffix/prefix bitsets, one row per distinct value.
 
-    For dimension ``i`` let ``hi_sorted`` be the ascending ``hi`` column:
-    ``suffix[i][r]`` holds (as bits) the objects at sorted positions
-    ``>= r`` — i.e. every object whose ``hi`` value is at least the value
-    ranked ``r``. Likewise ``prefix[i][r]`` holds the objects at positions
-    ``< r`` of the ascending ``lo`` order. Both carry ``n + 1`` rows so the
-    empty suffix/prefix are addressable.
+    For dimension ``i``, ``sorted_hi[i]`` holds the ascending *distinct*
+    ``hi`` values of the live objects and ``suffix[i][j]`` (as bits) every
+    live object whose ``hi`` is at least ``sorted_hi[i][j]``; the extra
+    last row is the empty set. Likewise ``sorted_lo[i]`` holds the
+    distinct ``lo`` values and ``prefix[i][j]`` every live object whose
+    ``lo`` is below ``sorted_lo[i][j]`` (row 0 empty, the last row every
+    live object). A ``searchsorted`` of any query value into the keys
+    lands on the row of the nearest key, which holds exactly the objects
+    the threshold test admits — so only ``U + 1`` rows per dimension and
+    direction are kept, ``2·Σ_i (U_i + 1)·⌈n/64⌉·8`` bytes in all: the
+    paper's range-encoded bitmap index (``C_i + 1`` columns per
+    dimension), sized by cardinality instead of ``n``.
 
-    Bit ``j`` of word ``w`` in any row stands for object ``64·w + j``
-    (little-endian within the word); :func:`unpack_mask_bits` is the
-    inverse adapter back to boolean masks.
+    Bit ``j`` of word ``w`` in any row stands for storage slot ``64·w +
+    j`` (little-endian within the word); :func:`unpack_mask_bits` is the
+    inverse adapter back to boolean masks. Tombstoned slots hold no bit in
+    any row, so results never need a live mask.
 
-    Tables are *patchable*: :meth:`insert_rank` and :meth:`move_rank`
-    splice one object's rank row into a dimension's table with plain
-    slice copies (no re-sort, no re-accumulate), which is how
-    :meth:`PreparedDataset.patched` turns a parent version's tables into a
-    child's. The per-dimension sort permutations (``hi_order`` /
-    ``lo_order``) are retained to keep tie blocks ordered by storage slot
-    — the invariant that makes a patched table bit-identical to a cold
-    rebuild of the same rows. Patch primitives never mutate the arrays in
-    place; they rebind fresh ones, so a :meth:`shallow` copy can share
-    every untouched dimension with its parent safely.
+    Tables are *patchable*: :meth:`add` and :meth:`remove` set or clear
+    one slot's bit in the rows of a value range, inserting a row when a
+    value first appears and dropping it when its last holder leaves —
+    which keeps a patched table bit-identical to a cold build over the
+    same live slots. Copy-on-write: a table array is copied before its
+    first in-place write unless this instance already owns it, so a
+    :meth:`shallow` copy can share every untouched array with its parent.
     """
 
-    __slots__ = ("n", "suffix", "prefix", "sorted_hi", "sorted_lo", "hi_order", "lo_order", "words")
+    __slots__ = ("n", "suffix", "prefix", "sorted_hi", "sorted_lo", "words", "_owned")
 
-    def __init__(self, lo: np.ndarray, hi: np.ndarray) -> None:
-        n, d = lo.shape
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, *, columns: list | None = None) -> None:
+        """Cold build over every storage slot, or over the slots sorted
+        into *columns* (:func:`_value_columns`) when given."""
+        n = lo.shape[0]
         self.n = n
         self.words = (n + 63) >> 6
+        if columns is None:
+            columns = _value_columns(lo, hi, np.arange(n))
         self.suffix: list[np.ndarray] = []
         self.prefix: list[np.ndarray] = []
         self.sorted_hi: list[np.ndarray] = []
         self.sorted_lo: list[np.ndarray] = []
-        self.hi_order: list[np.ndarray] = []
-        self.lo_order: list[np.ndarray] = []
-        arange = np.arange(n)
-        zero_row = np.zeros((1, self.words), dtype=np.uint64)
-        for dim in range(d):
-            hi_order = np.argsort(hi[:, dim], kind="stable")
-            one_hot = np.zeros((n, self.words), dtype=np.uint64)
-            one_hot[arange, hi_order >> 6] = np.uint64(1) << (hi_order & 63).astype(np.uint64)
-            suffix = np.bitwise_or.accumulate(one_hot[::-1], axis=0)[::-1]
-            self.suffix.append(np.concatenate([suffix, zero_row]))
-            self.sorted_hi.append(hi[hi_order, dim])
-            self.hi_order.append(hi_order.astype(np.intp))
+        for (hi_keys, hi_codes, hi_slots), (lo_keys, lo_codes, lo_slots) in columns:
+            holders = _holder_rows(hi_codes, hi_slots, hi_keys.size, self.words)
+            suffix = np.zeros((hi_keys.size + 1, self.words), dtype=np.uint64)
+            if hi_keys.size:
+                suffix[:-1] = np.bitwise_or.accumulate(holders[::-1], axis=0)[::-1]
+            self.suffix.append(suffix)
+            self.sorted_hi.append(hi_keys)
 
-            lo_order = np.argsort(lo[:, dim], kind="stable")
-            one_hot = np.zeros((n, self.words), dtype=np.uint64)
-            one_hot[arange, lo_order >> 6] = np.uint64(1) << (lo_order & 63).astype(np.uint64)
-            prefix = np.bitwise_or.accumulate(one_hot, axis=0)
-            self.prefix.append(np.concatenate([zero_row, prefix]))
-            self.sorted_lo.append(lo[lo_order, dim])
-            self.lo_order.append(lo_order.astype(np.intp))
+            holders = _holder_rows(lo_codes, lo_slots, lo_keys.size, self.words)
+            prefix = np.zeros((lo_keys.size + 1, self.words), dtype=np.uint64)
+            np.bitwise_or.accumulate(holders, axis=0, out=prefix[1:])
+            self.prefix.append(prefix)
+            self.sorted_lo.append(lo_keys)
+        self._owned: set = set()
 
     @property
     def nbytes(self) -> int:
         return sum(
             arr.nbytes
-            for group in (
-                self.suffix,
-                self.prefix,
-                self.sorted_hi,
-                self.sorted_lo,
-                self.hi_order,
-                self.lo_order,
-            )
+            for group in (self.suffix, self.prefix, self.sorted_hi, self.sorted_lo)
             for arr in group
         )
 
     # -- patching ----------------------------------------------------------
 
     def shallow(self) -> "_BitsetTables":
-        """Copy sharing every per-dimension array (patches rebind, never mutate)."""
+        """Copy sharing every per-dimension array (both sides then copy on write)."""
         clone = _BitsetTables.__new__(_BitsetTables)
         clone.n = self.n
         clone.words = self.words
@@ -398,43 +359,84 @@ class _BitsetTables:
         clone.prefix = list(self.prefix)
         clone.sorted_hi = list(self.sorted_hi)
         clone.sorted_lo = list(self.sorted_lo)
-        clone.hi_order = list(self.hi_order)
-        clone.lo_order = list(self.lo_order)
+        clone._owned = set()
+        self._owned = set()
         return clone
 
-    def _side(self, kind: str, dim: int):
+    def _side(self, kind: str):
         if kind == "suffix":
-            return self.suffix, self.sorted_hi, self.hi_order
-        return self.prefix, self.sorted_lo, self.lo_order
+            return self.suffix, self.sorted_hi
+        return self.prefix, self.sorted_lo
 
-    def insert_rank(self, dim: int, kind: str, value: float, slot: int, width: int) -> None:
-        """Splice the rank entry of storage *slot* (sentinel *value*) in.
+    def _writable(self, kind: str, dim: int) -> np.ndarray:
+        tables = self.suffix if kind == "suffix" else self.prefix
+        if (kind, dim) not in self._owned:
+            tables[dim] = tables[dim].copy()
+            self._owned.add((kind, dim))
+        return tables[dim]
 
-        ``width`` is the target word count (``>= self.words``); widening
-        happens for free inside the same allocation when the new slot
-        crosses a 64-bit word boundary. One ``O(rows · width)`` slice copy
-        plus an ``O(rows)`` strided bit fix — no sorting.
+    def add(self, dim: int, kind: str, value: float, slot: int) -> None:
+        """Set storage *slot*'s bit for sentinel *value* in one table.
+
+        A suffix table ORs the bit into the rows of every key at or below
+        *value*, a prefix table into the rows above it. A value no live
+        object held before first gets its own row, a copy of the row it
+        splits (``O(U·W)``); otherwise the patch is ``O(U)`` word ORs.
         """
-        tables, vals, orders = self._side(kind, dim)
-        position = _rank_position(vals[dim], orders[dim], value, slot)
-        tables[dim] = _spliced_rank_row(tables[dim], position, slot, kind, width)
-        vals[dim] = np.insert(vals[dim], position, value)
-        orders[dim] = np.insert(orders[dim], position, slot)
+        tables, keys = self._side(kind)
+        j = int(np.searchsorted(keys[dim], value))
+        if j == keys[dim].size or keys[dim][j] != value:
+            row = j if kind == "suffix" else j + 1
+            tables[dim] = np.insert(tables[dim], row, tables[dim][j], axis=0)
+            keys[dim] = np.insert(keys[dim], j, value)
+            self._owned.add((kind, dim))
+        table = self._writable(kind, dim)
+        bit = np.uint64(1) << np.uint64(slot & 63)
+        if kind == "suffix":
+            table[: j + 1, slot >> 6] |= bit
+        else:
+            table[j + 1 :, slot >> 6] |= bit
 
-    def move_rank(self, dim: int, kind: str, old_value: float, new_value: float, slot: int) -> None:
-        """Re-rank one existing entry after its sentinel value changed.
+    def remove(self, dim: int, kind: str, value: float, slot: int) -> None:
+        """Clear storage *slot*'s bit for sentinel *value* in one table.
 
-        Fused remove+insert: one allocation per array, rows outside the
-        ``[old, new]`` rank window copied untouched.
+        The mirror of :meth:`add`; the value's row is dropped when *slot*
+        was its last holder (the row then equals its neighbour).
         """
-        tables, vals, orders = self._side(kind, dim)
-        values, order = vals[dim], orders[dim]
-        q = _rank_position(values, order, old_value, slot, existing=True)
-        at = _rank_position(values, order, new_value, slot)
-        p = at - 1 if q < at else at  # insertion position in the removed order
-        tables[dim] = _moved_rank_row(tables[dim], q, p, slot, kind)
-        vals[dim] = _moved_entry(values, q, p, new_value)
-        orders[dim] = _moved_entry(order, q, p, slot)
+        tables, keys = self._side(kind)
+        j = int(np.searchsorted(keys[dim], value))
+        if j == keys[dim].size or keys[dim][j] != value:
+            raise InvalidParameterError(
+                f"no table row for slot {slot} at value {value!r} (corrupt tables?)"
+            )
+        table = self._writable(kind, dim)
+        bit = ~(np.uint64(1) << np.uint64(slot & 63))
+        if kind == "suffix":
+            table[: j + 1, slot >> 6] &= bit
+            row, neighbour = j, j + 1
+        else:
+            table[j + 1 :, slot >> 6] &= bit
+            row, neighbour = j + 1, j
+        if np.array_equal(table[row], table[neighbour]):
+            tables[dim] = np.delete(table, row, axis=0)
+            keys[dim] = np.delete(keys[dim], j)
+
+    def move(self, dim: int, kind: str, old_value: float, new_value: float, slot: int) -> None:
+        """Re-key one slot after its sentinel value changed."""
+        self.remove(dim, kind, old_value, slot)
+        self.add(dim, kind, new_value, slot)
+
+    def widen(self, words: int) -> None:
+        """Grow every table to *words* columns (new slots start clear)."""
+        if words <= self.words:
+            return
+        for kind, group in (("suffix", self.suffix), ("prefix", self.prefix)):
+            for dim, table in enumerate(group):
+                grown = np.zeros((table.shape[0], words), dtype=np.uint64)
+                grown[:, : self.words] = table
+                group[dim] = grown
+                self._owned.add((kind, dim))
+        self.words = words
 
     def _accumulators(self, lo: np.ndarray, hi: np.ndarray, idx: np.ndarray):
         """The two packed accumulators both dominance directions share.
@@ -594,8 +596,9 @@ class PreparedDataset:
     Holds the ``lo``/``hi`` sentinel matrices eagerly (every route needs
     them; the seed rebuilt them per call) and two lazily built structures:
 
-    * the packed prefix/suffix :class:`_BitsetTables` (``O(d·n²/8)``
-      bytes, built on the first call whose batch justifies them), and
+    * the packed prefix/suffix :class:`_BitsetTables` (one row of
+      ``⌈n/64⌉`` words per distinct value, dimension and direction; built
+      on the first call whose batch justifies them), and
     * per-dimension packed *observed* bitsets (``d × ⌈n/64⌉`` words) that
       turn incomparability counting into ``d`` conditional ORs plus one
       popcount per object.
@@ -608,14 +611,14 @@ class PreparedDataset:
     in a *storage* layer that may be wider than the dataset: deleted
     objects keep their bit position as a **tombstone** (sentinel rows
     poisoned to ``lo=+inf``/``hi=-inf`` so the broadcast route never sees
-    them; packed results are AND-ed with a live-bit mask so the bitset
-    route never returns them) and inserted objects append new bit
+    them; their bits are cleared from every table row so the bitset route
+    never returns them) and inserted objects append new bit
     positions at the end. ``n`` is always the *live* object count —
     equal to the matching dataset's ``n`` — while :attr:`storage_n` is the
     bit width of the packed tables. Live storage slots, in ascending
     order, correspond 1:1 to dataset rows (the ordering contract of
     :func:`repro.core.delta.apply_delta`). :meth:`patched` advances an
-    instance to a child version by splicing tables instead of rebuilding
+    instance to a child version by patching tables instead of rebuilding
     them; :meth:`compacted` pays one cold rebuild to shed tombstone debt
     (the planner's :func:`~repro.engine.planner.plan_delta` decides when).
     """
@@ -630,10 +633,10 @@ class PreparedDataset:
         "_obs_buf",
         "_live",
         "_live_slots",
-        "_live_words",
         "_live_bounds",
         "_tombstones",
         "_tables",
+        "_refused_bytes",
         "_observed_bits",
         "_tail_mask",
         "_build_lock",
@@ -653,14 +656,16 @@ class PreparedDataset:
         self._obs_buf = np.array(dataset.observed, copy=True)
         self._live: np.ndarray | None = None
         self._live_slots: np.ndarray | None = None
-        self._live_words: np.ndarray | None = None
         self._live_bounds: tuple[np.ndarray, np.ndarray] | None = None
         self._tombstones = 0
         self._tables: _BitsetTables | None = None
+        #: Value-table bytes of a build the budget refused for this
+        #: version (so the sort that sized it is not repeated per call).
+        self._refused_bytes: int | None = None
         self._observed_bits: np.ndarray | None = None
         self._tail_mask: np.ndarray | None = None
         #: Guards the lazy builds: concurrent threads must not duplicate
-        #: an O(d·n²/64) table build (or observe a half-written entry).
+        #: a table build (or observe a half-written entry).
         self._build_lock = make_lock("prepared", reentrant=False)
         #: Accumulated seconds spent building this entry (sentinels plus
         #: any lazy structures) — the *rebuild cost* the session cache's
@@ -715,16 +720,11 @@ class PreparedDataset:
             self._live_slots = np.flatnonzero(self._live[: self._storage_n])
         return self._live_slots
 
-    def _live_words_for(self, width: int) -> np.ndarray:
-        """Packed live-bit mask padded/cached at the given word width."""
-        if self._live_words is None or self._live_words.size < width:
-            words = np.zeros(max(width, (self._storage_n + 63) >> 6), dtype=np.uint64)
-            live = self._live_slots_array()
-            np.bitwise_or.at(
-                words, live >> 6, np.uint64(1) << (live & 63).astype(np.uint64)
-            )
-            self._live_words = words
-        return self._live_words[:width]
+    def _table_slots(self) -> np.ndarray:
+        """The storage slots the tables hold bits for (the live ones)."""
+        if self._live is None:
+            return np.arange(self._storage_n)
+        return self._live_slots_array()
 
     def live_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Dataset-indexed ``(lo, hi)`` for the broadcast route (memoised)."""
@@ -736,47 +736,34 @@ class PreparedDataset:
         return self._live_bounds
 
     # -- bitset-route wrappers ---------------------------------------------
-
-    def _masked(self, bits: np.ndarray) -> np.ndarray:
-        if self._live is not None:
-            bits &= self._live_words_for(bits.shape[1])
-        return bits
+    #
+    # Tombstoned slots hold no bit in any table row, so no wrapper needs
+    # a live mask.
 
     def dominated_bits(self, rows: np.ndarray) -> np.ndarray:
-        """Packed dominated-masks for *dataset* rows, tombstones masked out."""
+        """Packed dominated-masks for *dataset* rows (no tombstone bits)."""
         slots = self.slots_of(rows)
-        return self._masked(self._tables.dominated_block_bits(self.lo, self.hi, slots))
+        return self._tables.dominated_block_bits(self.lo, self.hi, slots)
 
     def dominator_bits(self, rows: np.ndarray) -> np.ndarray:
-        """Packed dominator-masks for *dataset* rows, tombstones masked out."""
+        """Packed dominator-masks for *dataset* rows (no tombstone bits)."""
         slots = self.slots_of(rows)
-        return self._masked(self._tables.dominator_block_bits(self.lo, self.hi, slots))
-
-    def _count_live_words(self) -> np.ndarray | None:
-        return (
-            self._live_words_for(self._tables.words) if self._live is not None else None
-        )
+        return self._tables.dominator_block_bits(self.lo, self.hi, slots)
 
     def dominated_count_rows(self, rows: np.ndarray) -> np.ndarray:
         """Exact ``score`` counts for *dataset* rows, fused on one pass.
 
         Equivalent to ``popcount(dominated_bits(rows))`` but lets the
-        active backend fold the gather, AND-reduction, live mask and
-        popcount together without materialising the ``(b, W)`` bits.
+        active backend fold the gather, AND-reduction and popcount
+        together without materialising the ``(b, W)`` bits.
         """
         slots = self.slots_of(rows)
-        return get_backend().accumulator_counts(
-            self._tables, self.lo, self.hi, slots,
-            direction="dominated", live=self._count_live_words(),
-        )
+        return self._tables.dominated_counts(self.lo, self.hi, slots)
 
     def dominator_count_rows(self, rows: np.ndarray) -> np.ndarray:
         """Exact dominator counts for *dataset* rows (fused mirror)."""
         slots = self.slots_of(rows)
-        return get_backend().accumulator_counts(
-            self._tables, self.lo, self.hi, slots,
-            direction="dominator", live=self._count_live_words(),
-        )
+        return self._tables.dominator_counts(self.lo, self.hi, slots)
 
     def unpack_live(self, bits: np.ndarray) -> np.ndarray:
         """Packed storage rows → boolean masks over *dataset* columns."""
@@ -796,8 +783,8 @@ class PreparedDataset:
         strictly beats its own values, and duplicates drop out of the
         accumulator combination like everywhere else. Rides the packed
         tables when they exist (the probe values searchsort into the same
-        per-dimension orders any member row would), the blocked broadcast
-        otherwise. Tombstoned rows are masked out on both routes.
+        per-dimension keys any member row would), the blocked broadcast
+        otherwise. Tombstoned rows count on neither route.
         """
         probe_lo = np.asarray(probe_lo, dtype=np.float64)
         probe_hi = np.asarray(probe_hi, dtype=np.float64)
@@ -812,16 +799,13 @@ class PreparedDataset:
         b = probe_lo.shape[0]
         if b == 0:
             return np.zeros(0, dtype=np.int64)
-        tables = self.tables(build=_use_bitsets(self._storage_n, self.d, b, cached=self.tables_ready))
+        tables = self.tables(build=_use_bitsets(self._storage_n, b, cached=self.tables_ready))
         out = np.empty(b, dtype=np.int64)
         if tables is not None:
-            backend = get_backend()
-            live = self._count_live_words()
-            for start in range(0, b, _BITSET_ROW_STEP):
-                idx = np.arange(start, min(start + _BITSET_ROW_STEP, b), dtype=np.intp)
-                out[start : start + idx.size] = backend.accumulator_counts(
-                    tables, probe_lo, probe_hi, idx, direction="dominated", live=live
-                )
+            step = _row_step(tables.words)
+            for start in range(0, b, step):
+                idx = np.arange(start, min(start + step, b), dtype=np.intp)
+                out[start : start + idx.size] = tables.dominated_counts(probe_lo, probe_hi, idx)
             return out
         lo, hi = self.live_bounds()
         block = auto_block(lo.shape[0], self.d)
@@ -846,14 +830,7 @@ class PreparedDataset:
             arrays.append(self._live)
         if self._tables is not None:
             tables = self._tables
-            for group in (
-                tables.suffix,
-                tables.prefix,
-                tables.sorted_hi,
-                tables.sorted_lo,
-                tables.hi_order,
-                tables.lo_order,
-            ):
+            for group in (tables.suffix, tables.prefix, tables.sorted_hi, tables.sorted_lo):
                 arrays.extend(group)
         if self._observed_bits is not None:
             arrays.append(self._observed_bits)
@@ -900,24 +877,39 @@ class PreparedDataset:
         """The packed bitset tables; built on demand when *build* is true.
 
         Returns ``None`` when the tables are not built and either *build*
-        is false or they would exceed the per-table memory budget.
+        is false or they would exceed the memory budget. The budget is
+        checked against the real value-table bytes, so it needs the
+        distinct values of every column: those sorts are the first half
+        of the build and are not wasted when it goes ahead. A refusal is
+        remembered for this version, counted in the ``kernel.tables_refused``
+        metric on every call it turns away, and the bytes it would have
+        needed land in the ``kernel.tables_refused_bytes`` gauge.
         Thread-safe: one builder wins, others wait on the build lock.
         """
-        if (
-            self._tables is None
-            and build
-            and _bitset_table_bytes(self._storage_n, self.d) <= _BITSET_TABLE_BUDGET_BYTES
-        ):
+        if self._tables is None and build and self._refused_bytes is None:
             with self._build_lock:
-                if self._tables is None:
+                if self._tables is None and self._refused_bytes is None:
                     with telemetry.trace("kernel.build_tables") as span:
-                        span.set("n", self._storage_n).set("d", self.d)
                         start = _clock()
-                        self._tables = _BitsetTables(self.lo, self.hi)
+                        columns = _value_columns(self.lo, self.hi, self._table_slots())
+                        words = (self._storage_n + 63) >> 6
+                        table_bytes = _value_table_bytes(columns, words)
+                        span.set("n", self._storage_n).set("d", self.d)
+                        span.set("distinct", [hi_col[0].size for hi_col, _ in columns])
+                        span.set("table_bytes", table_bytes)
+                        if table_bytes <= _BITSET_TABLE_BUDGET_BYTES:
+                            self._tables = _BitsetTables(self.lo, self.hi, columns=columns)
+                        else:
+                            span.set("refused", True)
+                            self._refused_bytes = table_bytes
                         elapsed = _clock() - start
                     self.build_seconds += elapsed
                     if telemetry.enabled():
                         telemetry.metrics().observe("kernel.build_seconds", elapsed)
+        if self._tables is None and build:
+            registry = telemetry.metrics()
+            registry.count("kernel.tables_refused")
+            registry.gauge_max("kernel.tables_refused_bytes", self._refused_bytes)
         return self._tables
 
     def warm(self, batch: int | None = None) -> "PreparedDataset":
@@ -925,9 +917,7 @@ class PreparedDataset:
         ``n``) would justify them — so the build lands in a preparation
         phase instead of inside the first timed/measured query."""
         scan = self._n if batch is None else int(batch)
-        self.tables(
-            build=_use_bitsets(self._storage_n, self.d, scan, cached=self.tables_ready)
-        )
+        self.tables(build=_use_bitsets(self._storage_n, scan, cached=self.tables_ready))
         return self
 
     def observed_bits(self) -> tuple[np.ndarray, np.ndarray]:
@@ -938,19 +928,12 @@ class PreparedDataset:
                     start = _clock()
                     n, d = self._storage_n, self.d
                     words = (n + 63) >> 6
-                    bits = np.zeros((d, words), dtype=np.uint64)
-                    observed = self.observed
-                    arange = np.arange(n)
-                    word_idx = arange >> 6
-                    bit_val = np.uint64(1) << (arange & 63).astype(np.uint64)
-                    for dim in range(d):
-                        obs = observed[:, dim]
-                        np.bitwise_or.at(bits[dim], word_idx[obs], bit_val[obs])
-                    tail = np.full(words, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-                    if n & 63:
-                        tail[-1] = (np.uint64(1) << np.uint64(n & 63)) - np.uint64(1)
-                    if self._live is not None:
-                        tail &= self._live_words_for(words)
+                    mask = np.zeros((d, 64 * words), dtype=bool)
+                    mask[:, :n] = self.observed.T
+                    bits = _pack_bits(mask)
+                    live = np.zeros(64 * words, dtype=bool)
+                    live[:n] = True if self._live is None else self._live[:n]
+                    tail = _pack_bits(live)
                     # Publish the tail mask first: readers key on
                     # _observed_bits, which is assigned last.
                     self._tail_mask = tail
@@ -963,12 +946,15 @@ class PreparedDataset:
     def patched(self, delta: SentinelDelta, *, inplace: bool = False) -> "PreparedDataset":
         """Advance to the child version under *delta* without a rebuild.
 
-        Updates re-rank the changed dimensions only (two rank splices per
-        changed dimension per direction); deletions tombstone their slot
-        (poisoned sentinels + live-mask, ``O(d)``); insertions append new
-        bit positions (one rank splice per dimension per direction). The
-        resulting structure answers child-version queries bit-identically
-        to a cold rebuild of the child dataset.
+        Updates move the slot's bit between the rows of its old and new
+        value, in the changed dimensions only; deletions clear the slot's
+        bits and tombstone it (poisoned sentinels + live-mask);
+        insertions append a new bit position and set its bits. Each is
+        ``O(U)`` word operations per dimension and direction, plus one
+        ``O(U·W)`` row copy when a value appears or vanishes (see
+        :meth:`_BitsetTables.add`). The patched tables equal a cold build
+        over the same storage, and the structure answers child-version
+        queries bit-identically to a cold rebuild of the child dataset.
 
         With ``inplace=False`` (the default) ``self`` stays valid — parent
         and child share every untouched table array copy-on-write, which
@@ -984,30 +970,35 @@ class PreparedDataset:
             target._ensure_capacity(self._storage_n + inserts)
             target._observed_bits = None
             target._tail_mask = None
+            target._refused_bytes = None
         tables = target._tables
 
-        # 1. Updates: re-rank changed dimensions (old sentinel values are
+        # 1. Updates: re-key changed dimensions (old sentinel values are
         #    still in the buffers — read them before overwriting).
         if delta.update_rows.size:
             slots = target.slots_of(delta.update_rows)
             for j, slot in enumerate(slots):
                 slot = int(slot)
-                old_lo, old_hi = target._lo_buf[slot].copy(), target._hi_buf[slot].copy()
                 if tables is not None:
                     for dim in range(target.d):
-                        new_hi = delta.update_hi[j, dim]
-                        if old_hi[dim] != new_hi:
-                            tables.move_rank(dim, "suffix", float(old_hi[dim]), float(new_hi), slot)
-                        new_lo = delta.update_lo[j, dim]
-                        if old_lo[dim] != new_lo:
-                            tables.move_rank(dim, "prefix", float(old_lo[dim]), float(new_lo), slot)
+                        old_hi, new_hi = target._hi_buf[slot, dim], delta.update_hi[j, dim]
+                        if old_hi != new_hi:
+                            tables.move(dim, "suffix", float(old_hi), float(new_hi), slot)
+                        old_lo, new_lo = target._lo_buf[slot, dim], delta.update_lo[j, dim]
+                        if old_lo != new_lo:
+                            tables.move(dim, "prefix", float(old_lo), float(new_lo), slot)
                 target._lo_buf[slot] = delta.update_lo[j]
                 target._hi_buf[slot] = delta.update_hi[j]
                 target._obs_buf[slot] = delta.update_observed[j]
 
-        # 2. Deletions: tombstone — no table traffic at all.
+        # 2. Deletions: clear the slot's bits, then tombstone it.
         if delta.delete_rows.size:
             slots = target.slots_of(delta.delete_rows)
+            if tables is not None:
+                for slot in slots.tolist():
+                    for dim in range(target.d):
+                        tables.remove(dim, "suffix", float(target._hi_buf[slot, dim]), slot)
+                        tables.remove(dim, "prefix", float(target._lo_buf[slot, dim]), slot)
             if target._live is None:
                 live = np.ones(target._lo_buf.shape[0], dtype=bool)
                 live[target._storage_n :] = False
@@ -1022,11 +1013,10 @@ class PreparedDataset:
         for j in range(inserts):
             slot = target._storage_n
             if tables is not None:
-                width = max(tables.words, (slot >> 6) + 1)
+                tables.widen((slot >> 6) + 1)
                 for dim in range(target.d):
-                    tables.insert_rank(dim, "suffix", float(delta.insert_hi[j, dim]), slot, width)
-                    tables.insert_rank(dim, "prefix", float(delta.insert_lo[j, dim]), slot, width)
-                tables.words = width
+                    tables.add(dim, "suffix", float(delta.insert_hi[j, dim]), slot)
+                    tables.add(dim, "prefix", float(delta.insert_lo[j, dim]), slot)
                 tables.n += 1
             target._lo_buf[slot] = delta.insert_lo[j]
             target._hi_buf[slot] = delta.insert_hi[j]
@@ -1037,7 +1027,6 @@ class PreparedDataset:
 
         target._n = self._n - int(delta.delete_rows.size) + inserts
         target._live_slots = None
-        target._live_words = None
         target._live_bounds = None
         target.build_seconds = self.build_seconds + (_clock() - start)
         return target
@@ -1056,10 +1045,10 @@ class PreparedDataset:
         if self._live is not None:
             child._live = _grown_copy(self._live[:, None], self._storage_n, rows)[:, 0]
         child._live_slots = None
-        child._live_words = None
         child._live_bounds = None
         child._tombstones = self._tombstones
         child._tables = None if self._tables is None else self._tables.shallow()
+        child._refused_bytes = None
         child._observed_bits = None
         child._tail_mask = None
         child._build_lock = make_lock("prepared", reentrant=False)
@@ -1127,8 +1116,6 @@ class PreparedDataset:
                 state[f"prefix{dim}"] = self._tables.prefix[dim]
                 state[f"sorted_hi{dim}"] = self._tables.sorted_hi[dim]
                 state[f"sorted_lo{dim}"] = self._tables.sorted_lo[dim]
-                state[f"hi_order{dim}"] = self._tables.hi_order[dim]
-                state[f"lo_order{dim}"] = self._tables.lo_order[dim]
         return state
 
     @classmethod
@@ -1148,9 +1135,9 @@ class PreparedDataset:
         if "live" in state:
             prepared._live = np.ascontiguousarray(state["live"], dtype=bool)
         prepared._live_slots = None
-        prepared._live_words = None
         prepared._live_bounds = None
         prepared._tables = None
+        prepared._refused_bytes = None
         if "words" in state:
             tables = _BitsetTables.__new__(_BitsetTables)
             tables.n = storage_n
@@ -1159,8 +1146,7 @@ class PreparedDataset:
             tables.prefix = [np.ascontiguousarray(state[f"prefix{dim}"], dtype=np.uint64) for dim in range(d)]
             tables.sorted_hi = [np.ascontiguousarray(state[f"sorted_hi{dim}"], dtype=np.float64) for dim in range(d)]
             tables.sorted_lo = [np.ascontiguousarray(state[f"sorted_lo{dim}"], dtype=np.float64) for dim in range(d)]
-            tables.hi_order = [np.ascontiguousarray(state[f"hi_order{dim}"], dtype=np.intp) for dim in range(d)]
-            tables.lo_order = [np.ascontiguousarray(state[f"lo_order{dim}"], dtype=np.intp) for dim in range(d)]
+            tables._owned = set()
             prepared._tables = tables
         prepared._observed_bits = None
         prepared._tail_mask = None
@@ -1206,7 +1192,7 @@ def _resolve_tables(
         prepared = _shared_prepared(dataset)
     if prepared is None:
         return None, None
-    build = _use_bitsets(prepared.storage_n, prepared.d, batch, cached=prepared.tables_ready)
+    build = _use_bitsets(prepared.storage_n, batch, cached=prepared.tables_ready)
     return prepared, prepared.tables(build=build)
 
 
@@ -1254,8 +1240,9 @@ def dominated_counts(
     prepared, tables = _resolve_tables(dataset, idx.size, prepared)
     if tables is not None:
         out = np.empty(idx.size, dtype=np.int64)
-        for start in range(0, idx.size, _BITSET_ROW_STEP):
-            chunk = idx[start : start + _BITSET_ROW_STEP]
+        step = _row_step(tables.words)
+        for start in range(0, idx.size, step):
+            chunk = idx[start : start + step]
             out[start : start + chunk.size] = prepared.dominated_count_rows(chunk)
         return out
     bounds = prepared.live_bounds() if prepared is not None else None
@@ -1284,8 +1271,9 @@ def dominated_masks(
     prepared, tables = _resolve_tables(dataset, idx.size, prepared)
     if tables is not None:
         out = np.empty((idx.size, n), dtype=bool)
-        for start in range(0, idx.size, _BITSET_ROW_STEP):
-            chunk = idx[start : start + _BITSET_ROW_STEP]
+        step = _row_step(tables.words)
+        for start in range(0, idx.size, step):
+            chunk = idx[start : start + step]
             out[start : start + chunk.size] = prepared.unpack_live(
                 prepared.dominated_bits(chunk)
             )
@@ -1321,8 +1309,9 @@ def dominator_counts(
     prepared, tables = _resolve_tables(dataset, idx.size, prepared)
     if tables is not None:
         out = np.empty(idx.size, dtype=np.int64)
-        for start in range(0, idx.size, _BITSET_ROW_STEP):
-            chunk = idx[start : start + _BITSET_ROW_STEP]
+        step = _row_step(tables.words)
+        for start in range(0, idx.size, step):
+            chunk = idx[start : start + step]
             out[start : start + chunk.size] = prepared.dominator_count_rows(chunk)
         return out
     bounds = prepared.live_bounds() if prepared is not None else None
@@ -1351,8 +1340,9 @@ def dominator_masks(
     prepared, tables = _resolve_tables(dataset, idx.size, prepared)
     if tables is not None:
         out = np.empty((idx.size, n), dtype=bool)
-        for start in range(0, idx.size, _BITSET_ROW_STEP):
-            chunk = idx[start : start + _BITSET_ROW_STEP]
+        step = _row_step(tables.words)
+        for start in range(0, idx.size, step):
+            chunk = idx[start : start + step]
             out[start : start + chunk.size] = prepared.unpack_live(
                 prepared.dominator_bits(chunk)
             )
@@ -1399,8 +1389,9 @@ def incomparable_counts(
         slots = prepared.slots_of(idx)
         self_word = (slots >> 6).astype(np.intp)
         self_bit = np.uint64(1) << (slots & 63).astype(np.uint64)
-        for start in range(0, idx.size, _BITSET_ROW_STEP):
-            chunk = idx[start : start + _BITSET_ROW_STEP]
+        step = _row_step(bits.shape[1])
+        for start in range(0, idx.size, step):
+            chunk = idx[start : start + step]
             b = chunk.size
             acc = np.zeros((b, bits.shape[1]), dtype=np.uint64)
             obs_rows = observed[chunk]
@@ -1514,8 +1505,9 @@ def dominance_matrix_blocked(
                 )
     if tables is not None:
         out = np.empty((n, n), dtype=bool)
-        for start in range(0, n, _BITSET_ROW_STEP):
-            chunk = np.arange(start, min(start + _BITSET_ROW_STEP, n), dtype=np.intp)
+        step = _row_step(tables.words)
+        for start in range(0, n, step):
+            chunk = np.arange(start, min(start + step, n), dtype=np.intp)
             out[start : start + chunk.size] = prepared.unpack_live(
                 prepared.dominated_bits(chunk)
             )

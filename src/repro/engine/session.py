@@ -22,7 +22,7 @@ the session object that makes the amortisation real:
   dataset fingerprint in a byte-budgeted LRU shared by every engine *and*
   by module-level kernel calls (``score_all``, ``dominance_matrix``, the
   MFD operator) through :func:`shared_prepared` — repeated full scans
-  build their ``O(d·n²/8)`` tables once;
+  build their bitset tables once;
 * **batch API** — :meth:`QueryEngine.query_many` runs a parametrised
   sweep (the Fig. 12–17 loops, a leaderboard's k-ladder) against shared
   preparations, optionally sharded across a process pool
@@ -352,9 +352,9 @@ class PreparedDatasetCache:
     total fits again. Eviction is *cost-aware*: among every entry but the
     most recently used, the lowest measured rebuild-seconds-per-byte goes
     first (ties fall back to least-recently-used order), so cheap
-    sentinel-only entries yield before an expensive ``O(d·n²/64)`` table
-    build. A single entry larger than the whole budget is kept (evicting
-    it would only thrash rebuilds).
+    sentinel-only entries yield before an expensive table build. A
+    single entry larger than the whole budget is kept (evicting it would
+    only thrash rebuilds).
 
     All methods are thread-safe: the process-wide shared instance is hit
     by every engine *and* by module-level kernel calls, possibly from
@@ -479,7 +479,7 @@ class PreparedDatasetCache:
                     telemetry.metrics().count("spill.attach.hit")
                 return entry[0]
             self.resident_misses += 1
-        # Load outside the lock: a miss may build + spill O(d·n²/64)
+        # Load outside the lock: a miss may build + spill a shard's
         # tables, which must not serialize every other cache user.
         with telemetry.trace("spill.attach") as span:
             prepared, nbytes = loader()
@@ -813,7 +813,7 @@ class QueryEngine:
         the default cache is process-wide. With a :attr:`store`, a cache
         miss first tries the persisted tables
         (:meth:`persist_prepared` / ``PersistentStore.put_prepared``), so
-        a fresh process warm-starts the ``O(d·n²/64)`` build from disk —
+        a fresh process warm-starts the table build from disk —
         and when only an *ancestor* version is stored, the lineage
         records' embedded delta payloads patch it forward to this version
         (``stats.prepared_patched_forward``).

@@ -83,7 +83,10 @@ __all__ = [
 #: 5: spilled shard tables — raw aligned binary files (``shard-*.bin``)
 #:    plus a shards index, attachable as memory-mapped views for
 #:    out-of-core partitioned execution.
-STORE_SCHEMA = 5
+#: 6: prepared and shard layouts carry value-keyed tables (one row per
+#:    distinct value, ``sorted_hi``/``sorted_lo`` hold distinct values)
+#:    and no longer the ``hi_order``/``lo_order`` sort permutations.
+STORE_SCHEMA = 6
 
 #: Deltas at most this many matrix cells embed their payload in the
 #: lineage record, so a cold process can patch a stored ancestor's tables
@@ -94,8 +97,8 @@ MAX_LINEAGE_PAYLOAD_CELLS = 4096
 #: k ids/scores each — so this admits hundreds of thousands of answers).
 _DEFAULT_STORE_BUDGET_BYTES = 64 * 1024 * 1024
 
-#: Default byte budget for persisted prepared tables (``O(d·n²/8)`` each,
-#: so this holds a handful of warm-startable datasets).
+#: Default byte budget for persisted prepared tables (one row of ``⌈n/64⌉``
+#: words per distinct value, dimension and direction each).
 _DEFAULT_PREPARED_BUDGET_BYTES = 256 * 1024 * 1024
 
 #: Default byte budget for spilled shard tables. Spill files are the
@@ -721,7 +724,7 @@ class PersistentStore:
 
         Sentinel arrays, tombstone state, and — when built — the packed
         bitset tables land in one ``.npz`` sibling file, so a fresh
-        process skips the ``O(d·n²/64)`` table build for this version
+        process skips the table build for this version
         entirely (the ROADMAP's warm-start item). Overflowing
         ``max_prepared_bytes`` evicts the lowest effective
         rebuild-cost-per-byte entries, age-decayed like every other

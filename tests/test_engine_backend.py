@@ -6,7 +6,7 @@ Covers the backend subsystem end to end:
   resolve to the expected backend and reject unknown names;
 * parity — the native route returns **bit-identical** answers to the
   portable numpy route on every kernel it accelerates (counts, masks,
-  foreign probes, rank splices/moves), including word-boundary sizes;
+  foreign probes, value-row splices/moves), including word-boundary sizes;
 * shared memory — :class:`SharedTables` round-trips a prepared dataset
   zero-copy, refcounts attaches, and never leaves a ``/dev/shm`` entry
   behind (engine path, worker-exception path, fallback path);
@@ -21,6 +21,8 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.dataset import IncompleteDataset
+from repro.core.delta import DatasetDelta
 from repro.engine import kernels, planner
 from repro.engine import backend as backend_module
 from repro.engine import session as session_module
@@ -37,6 +39,7 @@ from repro.engine.backend import (
 )
 from repro.engine.kernels import (
     PreparedDataset,
+    SentinelDelta,
     dominated_counts,
     dominated_masks,
     dominator_counts,
@@ -64,6 +67,25 @@ def _tabled(ds) -> PreparedDataset:
     prepared = PreparedDataset(ds)
     assert prepared.tables(build=True) is not None
     return prepared
+
+
+def _distinct_dim_dataset(n, *, dim, seed):
+    """``n`` rows over d=3 whose column *dim* holds the distinct, fully
+    observed values 2, 4, …, 2n (key ``i`` is ``2(i+1)``); the other
+    columns are low-cardinality with holes."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(1, 6, size=(n, 3)).astype(float)
+    values[rng.random((n, 3)) < 0.2] = np.nan
+    values[:, dim] = rng.permutation(2.0 * (np.arange(n) + 1))
+    return IncompleteDataset(values)
+
+
+def _assert_tables_equal(a, b) -> None:
+    """Row-for-row and key-for-key equality of two table sets."""
+    assert a.words == b.words
+    for attr in ("suffix", "prefix", "sorted_hi", "sorted_lo"):
+        for dim, (x, y) in enumerate(zip(getattr(a, attr), getattr(b, attr))):
+            np.testing.assert_array_equal(x, y, err_msg=f"{attr}[{dim}]")
 
 
 # ---------------------------------------------------------------------------
@@ -159,27 +181,53 @@ class TestBackendParity:
 
     @pytest.mark.parametrize("kind", ("suffix", "prefix"))
     @pytest.mark.parametrize("position", (0, 1, 99))
-    def test_spliced_rank_row(self, make_incomplete, kind, position):
-        ds = make_incomplete(100, 3, missing_rate=0.2, seed=2)
-        prepared = _tabled(ds)
-        tables = prepared.tables()
-        table = tables.suffix[0] if kind == "suffix" else tables.prefix[0]
-        for slot, width in ((17, tables.words), (63, tables.words + 1)):
-            expected = kernels._spliced_rank_row_numpy(table, position, slot, kind, width)
-            with use_backend("native"):
-                got = kernels._spliced_rank_row(table, position, slot, kind, width)
-            np.testing.assert_array_equal(got, expected)
+    def test_spliced_rank_row(self, kind, position):
+        """An insert at a brand-new distinct value splices that value's row
+        into the value-keyed table at key *position*; the patched tables
+        equal a cold build and answer identically on both backends."""
+        ds = _distinct_dim_dataset(99, dim=0, seed=position)
+        value = 2.0 * position + 1.0  # lands between keys position-1 and position
+        delta = DatasetDelta.inserting(ds, [[value, 3.0, np.nan]])
+        child = ds.apply_delta(delta)
+        answers = {}
+        for name in ("numpy", "native"):
+            with use_backend(name):
+                patched = _tabled(ds).patched(SentinelDelta.from_delta(delta, ds.directions))
+                tables = patched.tables(build=False)
+                table = tables.suffix[0] if kind == "suffix" else tables.prefix[0]
+                assert table.shape == (101, 2)
+                row = position if kind == "suffix" else position + 1
+                column = child.values[:, 0]
+                expected = column >= value if kind == "suffix" else column <= value
+                got = kernels.unpack_mask_bits(table[row : row + 1], child.n)[0]
+                np.testing.assert_array_equal(got, expected)
+                _assert_tables_equal(tables, _tabled(child).tables(build=False))
+                answers[name] = dominated_counts(child, prepared=patched).tolist()
+        assert answers["numpy"] == answers["native"]
 
     @pytest.mark.parametrize("kind", ("suffix", "prefix"))
     @pytest.mark.parametrize("q,p", ((5, 5), (80, 3), (3, 80), (0, 99), (99, 0)))
-    def test_moved_rank_row(self, make_incomplete, kind, q, p):
-        ds = make_incomplete(100, 3, missing_rate=0.2, seed=4)
-        tables = _tabled(ds).tables()
-        table = tables.suffix[1] if kind == "suffix" else tables.prefix[1]
-        expected = kernels._moved_rank_row_numpy(table, q, p, 42, kind)
-        with use_backend("native"):
-            got = kernels._moved_rank_row(table, q, p, 42, kind)
-        np.testing.assert_array_equal(got, expected)
+    def test_moved_rank_row(self, kind, q, p):
+        """An update moves a slot's bit from the rows of key *q* to key *p*:
+        the last holder leaving drops key q's row, joining key p adds no row
+        (q == p moves to a fresh value between the same neighbours)."""
+        ds = _distinct_dim_dataset(100, dim=1, seed=q + p)
+        keys = np.sort(ds.values[:, 1])
+        row_of = {float(v): i for i, v in enumerate(ds.values[:, 1])}
+        target = ds.ids[row_of[float(keys[q])]]
+        new_value = float(keys[p]) + (0.5 if q == p else 0.0)
+        delta = DatasetDelta.updating(ds, {target: {1: new_value}})
+        child = ds.apply_delta(delta)
+        answers = {}
+        for name in ("numpy", "native"):
+            with use_backend(name):
+                patched = _tabled(ds).patched(SentinelDelta.from_delta(delta, ds.directions))
+                tables = patched.tables(build=False)
+                group = tables.sorted_hi if kind == "suffix" else tables.sorted_lo
+                assert group[1].size == (100 if q == p else 99)
+                _assert_tables_equal(tables, _tabled(child).tables(build=False))
+                answers[name] = dominated_counts(child, prepared=patched).tolist()
+        assert answers["numpy"] == answers["native"]
 
     def test_update_stream_parity(self, make_incomplete):
         """Whole insert/update/delete sequences agree across backends."""

@@ -153,7 +153,7 @@ class TestBitsetRoute:
         ds = make_incomplete(700, 4, missing_rate=missing_rate, seed=seed)
         from repro.engine.kernels import _use_bitsets
 
-        assert _use_bitsets(ds.n, ds.d, ds.n)  # the fast path is active
+        assert _use_bitsets(ds.n, ds.n)  # the fast path is active
         got = dominated_counts(ds)
         sample = range(0, ds.n, 23)
         for i in sample:
@@ -443,13 +443,11 @@ class TestCachedTableEligibility:
 
     def test_use_bitsets_cached_flag(self):
         # Uncached: small batches are ineligible.
-        assert not _use_bitsets(4000, 4, 3)
-        assert not _use_bitsets(300, 4, 300)  # dataset below threshold
+        assert not _use_bitsets(4000, 3)
+        assert not _use_bitsets(300, 300)  # dataset below threshold
         # Cached: any batch rides the tables (they are already paid for).
-        assert _use_bitsets(4000, 4, 3, cached=True)
-        assert _use_bitsets(300, 4, 1, cached=True)
-        # ...unless the tables could never fit the budget at all.
-        assert not _use_bitsets(10_000_000, 20, 1, cached=True)
+        assert _use_bitsets(4000, 3, cached=True)
+        assert _use_bitsets(300, 1, cached=True)
 
     def test_small_batch_uses_cached_tables(self, make_incomplete, monkeypatch):
         ds = make_incomplete(700, 4, missing_rate=0.3, seed=3)

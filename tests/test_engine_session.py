@@ -225,7 +225,11 @@ class TestPreparedDatasetCache:
     def test_lazy_table_growth_is_budgeted(self, make_incomplete):
         a = make_incomplete(600, 3, missing_rate=0.2, seed=5)
         b = make_incomplete(600, 3, missing_rate=0.2, seed=6)
-        cache = PreparedDatasetCache(max_bytes=100_000)  # sentinels fit, tables don't
+        probe = PreparedDataset(a)
+        sentinel_bytes = probe.nbytes
+        probe.tables(build=True)
+        # Sentinels fit, sentinels plus tables don't.
+        cache = PreparedDatasetCache(max_bytes=(sentinel_bytes + probe.nbytes) // 2)
         engine = QueryEngine(dataset_cache=cache)
         prepared_a = engine.prepare_dataset(a)
         prepared_a.tables(build=True)
@@ -484,7 +488,9 @@ class TestSharedArrayAccounting:
     """Copy-on-write delta chains must not double-count shared tables."""
 
     def test_total_bytes_dedupes_shared_table_arrays(self, make_incomplete):
-        ds = make_incomplete(600, 4, missing_rate=0.2, seed=20)
+        # High cardinality: one table row per distinct value, so the tables
+        # outweigh the private sentinels as the dedupe check needs.
+        ds = make_incomplete(600, 4, missing_rate=0.2, cardinality=100_000, seed=20)
         cache = PreparedDatasetCache()
         engine = QueryEngine(dataset_cache=cache)
         engine.prepare_dataset(ds).tables(build=True)
@@ -500,12 +506,12 @@ class TestSharedArrayAccounting:
         assert cache.total_bytes < 3 * parent_bytes
 
     def test_long_version_history_stays_within_budget(self, make_incomplete):
-        ds = make_incomplete(600, 4, missing_rate=0.2, seed=21)
+        ds = make_incomplete(600, 4, missing_rate=0.2, cardinality=100_000, seed=21)
         probe = PreparedDataset(ds)
         probe.tables(build=True)
         # Budget fits ~4 full table sets; the 7-version chain naively sums
         # to ~7 sets (eviction after three versions), but each child only
-        # adds private sentinels plus one re-ranked dimension's arrays, so
+        # adds private sentinels plus one re-keyed dimension's arrays, so
         # deduped accounting keeps the whole history.
         cache = PreparedDatasetCache(max_bytes=int(probe.nbytes * 4))
         engine = QueryEngine(dataset_cache=cache)

@@ -139,6 +139,82 @@ class TestSchemaVersioning:
         store.put_result("fp", 1, "naive", (), _result())  # overwrites the wreck
         assert PersistentStore(tmp_path).get_result("fp", 1, "naive", ()) is not None
 
+    def test_schema5_prepared_and_shard_files_are_stale(self, tmp_path):
+        """Schema-5 files hold rank-resolution tables and sort orders; they
+        must be counted as stale and rebuilt, never loaded as value tables."""
+        from repro.engine.kernels import PreparedDataset, dominated_counts
+        from repro.engine.partition import _spill_prepared
+        from repro.engine.store import _write_spill
+
+        rng = np.random.default_rng(5)
+        values = rng.integers(1, 6, size=(150, 3)).astype(float)
+        values[rng.random((150, 3)) < 0.2] = np.nan
+        values[np.isnan(values).all(axis=1), 0] = 1.0
+        ds = IncompleteDataset(values)
+        prepared = PreparedDataset(ds)
+        prepared.tables(build=True)
+        expected = dominated_counts(ds, prepared=prepared)
+        store = PersistentStore(tmp_path)
+        store.put_prepared("fp", prepared)
+        store.put_shard_tables("fp", prepared)
+
+        old = _schema5_state(prepared)
+        prepared_index = json.loads((tmp_path / "prepared.json").read_text())
+        with open(tmp_path / prepared_index["entries"]["fp"]["file"], "wb") as handle:
+            np.savez(handle, **old)
+        prepared_index["schema"] = 5
+        (tmp_path / "prepared.json").write_text(json.dumps(prepared_index))
+        shard_index = json.loads((tmp_path / "shards.json").read_text())
+        entry = shard_index["entries"]["fp"]
+        with open(tmp_path / entry["file"], "wb") as handle:
+            entry["layout"], entry["bytes"] = _write_spill(handle, old)
+        shard_index["schema"] = 5
+        (tmp_path / "shards.json").write_text(json.dumps(shard_index))
+
+        reopened = PersistentStore(tmp_path)
+        assert reopened.get_prepared("fp") is None
+        assert reopened.get_shard_tables("fp") is None
+        assert reopened.stats.invalidations >= 2
+
+        # Rebuilt: a fresh write lands in the current schema and loads.
+        fresh = PreparedDataset(ds)
+        fresh.tables(build=True)
+        reopened.put_prepared("fp", fresh)
+        loaded = PersistentStore(tmp_path).get_prepared("fp")
+        assert loaded is not None and loaded.tables_ready
+        np.testing.assert_array_equal(dominated_counts(ds, prepared=loaded), expected)
+        attached, _ = _spill_prepared(reopened, "fp", ds)
+        assert reopened.get_shard_tables("fp") is not None
+        np.testing.assert_array_equal(dominated_counts(ds, prepared=attached), expected)
+        for name in ("prepared.json", "shards.json"):
+            assert json.loads((tmp_path / name).read_text())["schema"] == STORE_SCHEMA
+
+
+def _schema5_state(prepared) -> dict:
+    """*prepared*'s state in the schema-5 layout: rank-resolution tables
+    (``n + 1`` rows per dimension and direction) plus the sort orders."""
+    state = {
+        key: value
+        for key, value in prepared.state_arrays().items()
+        if not key.startswith(("suffix", "prefix", "sorted_"))
+    }
+    n = prepared.storage_n
+    words = (n + 63) >> 6
+    zero = np.zeros((1, words), dtype=np.uint64)
+    for dim in range(prepared.d):
+        for side, column in (("hi", prepared.hi[:, dim]), ("lo", prepared.lo[:, dim])):
+            order = np.argsort(column, kind="stable")
+            one_hot = np.zeros((n, words), dtype=np.uint64)
+            one_hot[np.arange(n), order >> 6] = np.uint64(1) << (order & 63).astype(np.uint64)
+            if side == "hi":
+                rows = np.bitwise_or.accumulate(one_hot[::-1], axis=0)[::-1]
+                state[f"suffix{dim}"] = np.concatenate([rows, zero])
+            else:
+                state[f"prefix{dim}"] = np.concatenate([zero, np.bitwise_or.accumulate(one_hot, axis=0)])
+            state[f"sorted_{side}{dim}"] = column[order]
+            state[f"{side}_order{dim}"] = order.astype(np.intp)
+    return state
+
 
 class TestCostAwareEviction:
     def test_overflow_keeps_highest_rebuild_cost_per_byte(self, tmp_path):

@@ -532,13 +532,13 @@ def test_real_backend_declarations_all_verified():
     assert check_ctypes_prototypes(sf) == []
 
     report = verified_declarations(backend)
-    assert len(report) == 13  # five kernels + eight SIMD/thread config calls
+    assert len(report) == 11  # three kernels + eight SIMD/thread config calls
     for entry in report:
         assert entry["py_args"] is not None, entry
         assert len(entry["py_args"]) == len(entry["c_args"]), entry
         assert entry["restype_checked"], entry
     # each argument position plus each restype is one verified declaration
-    assert sum(e["declarations"] for e in report) == 56
+    assert sum(e["declarations"] for e in report) == 38
 
 
 def test_real_backend_parses_all_exported_functions():
@@ -553,7 +553,6 @@ def test_real_backend_parses_all_exported_functions():
         "repro_fused_bits",
         "repro_fused_counts",
         "repro_get_threads",
-        "repro_moved_rank_row",
         "repro_popcount_rows",
         "repro_set_simd",
         "repro_set_thread_min_words",
@@ -561,7 +560,6 @@ def test_real_backend_parses_all_exported_functions():
         "repro_simd_best",
         "repro_simd_level",
         "repro_simd_supported",
-        "repro_spliced_rank_row",
     ]
     # (void) parameter lists parse to empty arg tuples, not a '?void' arg
     assert sigs["repro_build_flags"]["args"] == []

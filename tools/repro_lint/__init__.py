@@ -22,8 +22,8 @@ Rule catalogue (one line each; ``python -m repro_lint --list-rules``):
   a reachable unlink (or registered/transferred ownership); raw
   ``.close()`` on an attached segment munmaps under live numpy views.
 * **REP004** tombstone-awareness — raw bitset-table reads outside the
-  live-mask-aware ``PreparedDataset`` wrappers return counts that
-  include deleted rows.
+  ``PreparedDataset`` wrappers index storage slots, not live dataset
+  rows, so after deletes they read the wrong objects.
 * **REP005** backend bypass — popcount-class numpy hot loops outside
   ``backend.py``/``kernels.py`` silently skip the native kernel route.
 * **REP006** nondeterminism in identity functions — time, randomness or

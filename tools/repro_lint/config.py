@@ -135,9 +135,9 @@ SHM_CLOSE_ALLOWED_FUNCS = {"_close_quiet"}
 SHM_HANDLE_NAMES = {"shm"}
 
 # --------------------------------------------------------------------------
-# REP004 — tombstone-awareness.  Raw ``_BitsetTables`` reads bypass the
-# live mask; only the wrapper layer and the backend dispatchers may touch
-# them.
+# REP004 — tombstone-awareness.  Raw ``_BitsetTables`` reads take storage
+# slots, not live dataset rows; only the wrapper layer (which maps rows to
+# slots) and the backend dispatchers may touch them.
 RAW_TABLE_METHODS = {"dominated_block_bits", "dominator_block_bits", "_accumulators"}
 RAW_TABLE_CLASS = "_BitsetTables"
 TOMBSTONE_EXEMPT_CLASSES = {"PreparedDataset", "_BitsetTables"}

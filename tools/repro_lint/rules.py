@@ -365,9 +365,9 @@ def check_rep004(sf: SourceFile) -> list[Finding]:
                 findings.append(
                     Finding(
                         "REP004",
-                        f"raw bitset-table access '{flagged}' bypasses the live "
-                        "mask — deleted rows would count as dominators; go "
-                        "through the PreparedDataset wrappers",
+                        f"raw bitset-table access '{flagged}' takes storage "
+                        "slots, not live dataset rows — after deletes the two "
+                        "differ; go through the PreparedDataset wrappers",
                         sf.path,
                         node.lineno,
                         node.col_offset,
