@@ -88,10 +88,15 @@ class BitVector:
     @classmethod
     def from_indices(cls, nbits: int, indices: Iterable[int]) -> "BitVector":
         """Vector with exactly the given bit positions set."""
-        vec = cls(nbits)
-        for j in indices:
-            vec.set(int(j))
-        return vec
+        positions = np.asarray(
+            indices if isinstance(indices, np.ndarray) else list(indices)
+        ).astype(np.intp, copy=False)
+        outside = positions[(positions < 0) | (positions >= nbits)]
+        if outside.size:
+            raise InvalidParameterError(f"bit {int(outside[0])} outside [0, {nbits})")
+        flags = np.zeros(nbits, dtype=bool)
+        flags[positions] = True
+        return cls.from_bools(flags)
 
     @classmethod
     def from_bitstring(cls, text: str) -> "BitVector":

@@ -37,6 +37,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 
@@ -252,13 +253,35 @@ def _parse_directions(raw: str):
     return raw
 
 
+class _InputError(Exception):
+    """The input CSV could not be loaded; reported in one line, exit 2."""
+
+
 def _load_csv(args) -> IncompleteDataset:
+    """Load ``args.csv``; a header whose first field is ``id`` (what
+    ``to_csv`` and ``repro generate`` write) names the id column unless
+    ``--id-column`` is given."""
     kwargs = {"has_header": not args.no_header}
     if args.id_column is not None:
         kwargs["id_column"] = args.id_column
+    elif not args.no_header and _first_field(args.csv) == "id":
+        kwargs["id_column"] = 0
     if getattr(args, "directions", None):
         kwargs["directions"] = _parse_directions(args.directions)
-    return IncompleteDataset.from_csv(args.csv, **kwargs)
+    try:
+        return IncompleteDataset.from_csv(args.csv, **kwargs)
+    except ReproError as error:
+        raise _InputError(str(error)) from None
+
+
+def _first_field(path) -> str | None:
+    """First cell of the first non-blank CSV row of *path* (None if unreadable)."""
+    try:
+        with open(path, "r", newline="") as handle:
+            first = next(filter(None, csv.reader(handle)), None)
+    except (csv.Error, UnicodeDecodeError):
+        return None
+    return first[0] if first else None
 
 
 def _select_backend(args) -> None:
@@ -640,9 +663,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except _InputError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    except FileNotFoundError as error:
+    except OSError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -24,16 +24,20 @@ Two objects are *comparable* iff their patterns share a set bit
 
 from __future__ import annotations
 
+import collections
 import csv
 import hashlib
 import io
+import itertools
+import os
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .._util import is_missing_cell, parse_cell
+from .._util import parse_cell
 from ..errors import (
     AllMissingObjectError,
+    DataError,
     DimensionMismatchError,
     DuplicateObjectError,
     EmptyDatasetError,
@@ -192,8 +196,7 @@ class IncompleteDataset:
         >>> ds.n, ds.d
         (2, 3)
         """
-        materialised = [list(row) for row in rows]
-        return cls(materialised, **kwargs)
+        return cls(rows, **kwargs)
 
     @classmethod
     def from_csv(
@@ -206,55 +209,70 @@ class IncompleteDataset:
     ) -> "IncompleteDataset":
         """Read an incomplete dataset from a CSV file path or file object.
 
-        Empty cells and the tokens ``-``, ``na``, ``nan``, ``none``,
-        ``null``, ``?`` (case-insensitive) are treated as missing.
+        Empty cells and the tokens ``-``, ``na``, ``n/a``, ``nan``,
+        ``none``, ``null``, ``?`` (case-insensitive, surrounding blanks
+        ignored) are treated as missing. Blank lines are skipped.
 
         Parameters
         ----------
         source: path or text file object.
         has_header: first row holds dimension names.
-        id_column: optional column (name or position) holding object ids.
+        id_column: optional column (name, or position counted like a
+            Python index, so ``-1`` is the last column) holding object ids.
+
+        Raises
+        ------
+        DimensionMismatchError: a row's cell count differs from the first
+            row's (the message names the file line).
+        DataError: a value cell is not a number (names line and column).
+        InvalidParameterError: *id_column* names no column of the file.
         """
-        if hasattr(source, "read"):
-            text = source.read()
-        else:
-            with open(source, "r", newline="") as handle:
-                text = handle.read()
-        reader = csv.reader(io.StringIO(text))
-        rows = [row for row in reader if row]
-        if not rows:
-            raise EmptyDatasetError("CSV input contains no rows")
+        from ..engine import telemetry  # deferred: engine imports core
 
-        header: list[str] | None = None
-        if has_header:
-            header = rows[0]
-            rows = rows[1:]
-        if not rows:
-            raise EmptyDatasetError("CSV input contains a header but no data rows")
+        text = source.read() if hasattr(source, "read") else None
 
-        id_idx: int | None = None
-        if id_column is not None:
-            if isinstance(id_column, str):
-                if header is None:
-                    raise InvalidParameterError("id_column by name requires has_header=True")
-                try:
-                    id_idx = header.index(id_column)
-                except ValueError:
-                    raise InvalidParameterError(f"id column {id_column!r} not in header {header}") from None
-            else:
-                id_idx = int(id_column)
+        def open_text():
+            return io.StringIO(text) if text is not None else open(source, "r", newline="")
 
-        ids = None
-        if id_idx is not None:
-            ids = [row[id_idx] for row in rows]
-            rows = [[cell for j, cell in enumerate(row) if j != id_idx] for row in rows]
+        def line(record: int) -> str:
+            return f"line {_csv_line_of(open_text, record + int(has_header))}"
+
+        with telemetry.trace("load.csv") as span:
+            try:
+                with open_text() as handle:
+                    records = filter(None, csv.reader(handle))
+                    first = next(records, None)
+                    if first is None:
+                        raise EmptyDatasetError("CSV input contains no rows")
+                    width = len(first)
+                    header = first if has_header else None
+                    body = records if has_header else itertools.chain([first], records)
+                    n, columns = _split_columns(body, width, line)
+            except (csv.Error, UnicodeDecodeError) as error:
+                raise DataError(f"unreadable CSV input: {error}") from None
+            if n == 0:
+                raise EmptyDatasetError("CSV input contains a header but no data rows")
+            if telemetry.enabled():
+                size = os.path.getsize(source) if text is None else len(text.encode())
+                span.set("rows", n).set("columns", width).set("bytes", size)
+
+            labels = [repr(h) for h in header] if has_header else [str(j + 1) for j in range(width)]
+            ids = None
+            if id_column is not None:
+                id_idx = _id_position(id_column, header, width)
+                ids = columns.pop(id_idx)
+                del labels[id_idx]
+                if header is not None:
+                    header = header[:id_idx] + header[id_idx + 1:]
+
+            def cell(record: int, j: int) -> str:
+                return f"{line(record)}, column {labels[j]}"
+
+            matrix = _parse_columns(columns, n, cell)
+            kwargs.setdefault("ids", ids)
             if header is not None:
-                header = [h for j, h in enumerate(header) if j != id_idx]
-
-        kwargs.setdefault("ids", ids)
-        if header is not None:
-            kwargs.setdefault("dim_names", header)
-        return cls(rows, **kwargs)
+                kwargs.setdefault("dim_names", header)
+            return cls(matrix, **kwargs)
 
     def to_csv(self, destination, *, missing_token: str = "") -> None:
         """Write the dataset (original orientation) as CSV with an id column."""
@@ -558,19 +576,113 @@ def _coerce_matrix(values) -> np.ndarray:
             raise DimensionMismatchError(f"expected a 2-D array, got shape {matrix.shape}")
         return matrix.copy()
 
-    rows = [list(row) for row in values]
+    rows = [row if hasattr(row, "__len__") else list(row) for row in values]
     if not rows:
         raise EmptyDatasetError("dataset must have at least one object")
-    width = len(rows[0])
-    parsed = np.empty((len(rows), width), dtype=np.float64)
-    for i, row in enumerate(rows):
+    return _rows_to_matrix(rows, len(rows[0]))
+
+
+def _rows_to_matrix(rows, width: int, label: str = "row") -> np.ndarray:
+    """Parse sized *rows* of raw cells into an ``(n, width)`` float64 matrix.
+
+    Errors name the offending cell as ``"{label} {i}, column {j}"``.
+    """
+    n, columns = _split_columns(rows, width, lambda i: f"{label} {i}")
+    return _parse_columns(columns, n, lambda i, j: f"{label} {i}, column {j}")
+
+
+def _split_columns(rows, width: int, locate) -> tuple[int, list[list]]:
+    """One pass over *rows*, appending cell ``j`` of each row to column ``j``.
+
+    Returns ``(row_count, columns)``. No per-row copy is kept. A row whose
+    length is not *width* raises :class:`DimensionMismatchError`, located by
+    ``locate(row_index)``.
+    """
+    columns = [[] for _ in range(width)]
+    # map() runs list.append(column_j, cell_j) across the row in C; the
+    # zero-length deque just drains it.
+    drain = collections.deque(maxlen=0).extend
+    n = 0
+    for n, row in enumerate(rows, 1):
         if len(row) != width:
             raise DimensionMismatchError(
-                f"row {i} has {len(row)} cells, expected {width} (ragged input)"
+                f"{locate(n - 1)} has {len(row)} cells, expected {width} (ragged input)"
             )
-        for j, cell in enumerate(row):
-            parsed[i, j] = float("nan") if is_missing_cell(cell) else parse_cell(cell)
-    return parsed
+        drain(map(list.append, columns, row))
+    return n, columns
+
+
+def _parse_columns(columns: list[list], n: int, locate) -> np.ndarray:
+    """Parse raw cell columns into an ``(n, len(columns))`` float64 matrix.
+
+    A column of ``str`` cells is parsed once per *distinct* string (a memo
+    built with :func:`parse_cell`), which is what makes CSV ingest cheap:
+    a graded column of 200k cells holds about a hundred distinct strings.
+    Any other column takes :func:`parse_cell` per cell (numeric cells must
+    not share a memo: ``0.0 == -0.0`` would collapse their signs). A cell
+    that is not a number raises :class:`DataError` located by
+    ``locate(row_index, column_index)``.
+    """
+    matrix = np.empty((n, len(columns)), dtype=np.float64)
+    for j, column in enumerate(columns):
+        try:
+            memo = dict.fromkeys(column)
+        except TypeError:  # unhashable cells
+            memo = {}
+        if memo and all(type(cell) is str for cell in memo):
+            for text in memo:
+                try:
+                    memo[text] = parse_cell(text)
+                except ValueError:
+                    raise DataError(
+                        f"non-numeric cell {text!r} at {locate(column.index(text), j)}"
+                    ) from None
+            matrix[:, j] = np.fromiter(map(memo.__getitem__, column), np.float64, count=n)
+            continue
+        try:
+            matrix[:, j] = np.fromiter(map(parse_cell, column), np.float64, count=n)
+        except (TypeError, ValueError):
+            for i, cell in enumerate(column):
+                try:
+                    parse_cell(cell)
+                except (TypeError, ValueError):
+                    raise DataError(f"non-numeric cell {cell!r} at {locate(i, j)}") from None
+            raise
+    return matrix
+
+
+def _csv_line_of(open_text, record: int) -> int:
+    """1-based line where non-blank CSV record *record* of ``open_text()`` starts.
+
+    Only error paths call this: it re-reads the input up to that record.
+    """
+    with open_text() as handle:
+        reader = csv.reader(handle)
+        line = 0
+        for row in reader:
+            if row:
+                if record == 0:
+                    break
+                record -= 1
+            line = reader.line_num
+    return line + 1
+
+
+def _id_position(id_column: str | int, header: list[str] | None, width: int) -> int:
+    """Resolve ``from_csv``'s *id_column* to a column position in ``[0, width)``."""
+    if isinstance(id_column, str):
+        if header is None:
+            raise InvalidParameterError("id_column by name requires has_header=True")
+        try:
+            return header.index(id_column)
+        except ValueError:
+            raise InvalidParameterError(f"id column {id_column!r} not in header {header}") from None
+    position = int(id_column)
+    if not -width <= position < width:
+        raise InvalidParameterError(
+            f"id column position {position} outside a {width}-column file"
+        )
+    return position % width
 
 
 def _coerce_directions(directions, d: int) -> tuple[str, ...]:

@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .._util import is_missing_cell, parse_cell
 from ..errors import (
     AllMissingObjectError,
     DimensionMismatchError,
@@ -46,6 +45,7 @@ from ..errors import (
     EmptyDatasetError,
     InvalidParameterError,
 )
+from .dataset import _rows_to_matrix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .dataset import IncompleteDataset
@@ -84,14 +84,7 @@ def _parse_rows(rows, d: int) -> np.ndarray:
                 f"batch rows have {matrix.shape[1]} cells, expected {d}"
             )
         return matrix.copy()
-    materialised = [list(row) for row in rows]
-    parsed = np.empty((len(materialised), d), dtype=np.float64)
-    for i, row in enumerate(materialised):
-        if len(row) != d:
-            raise DimensionMismatchError(f"batch row {i} has {len(row)} cells, expected {d}")
-        for j, cell in enumerate(row):
-            parsed[i, j] = float("nan") if is_missing_cell(cell) else parse_cell(cell)
-    return parsed
+    return _rows_to_matrix([list(row) for row in rows], d, "batch row")
 
 
 def _canonical_bytes(values: np.ndarray) -> bytes:

@@ -59,6 +59,31 @@ class TestBitAccess:
         vec.set(8, False)
         assert not vec.get(8)
 
+    @given(
+        st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65]).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(0, max(n - 1, 0)), max_size=2 * n if n else 0),
+                st.booleans(),
+            )
+        )
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_from_indices_packs_like_from_bools(self, case):
+        n, positions, as_array = case
+        flags = np.zeros(n, dtype=bool)
+        flags[positions] = True
+        source = np.asarray(positions, dtype=np.intp) if as_array else iter(positions)
+        vec = BitVector.from_indices(n, source)
+        expected = BitVector.from_bools(flags)
+        assert len(vec) == n
+        assert vec._bits.tobytes() == expected._bits.tobytes()
+
+    @pytest.mark.parametrize("bad", [8, -1])
+    def test_from_indices_rejects_out_of_range(self, bad):
+        with pytest.raises(InvalidParameterError, match=f"bit {bad} outside"):
+            BitVector.from_indices(8, [3, bad])
+
     def test_out_of_range(self):
         vec = BitVector.zeros(8)
         with pytest.raises(InvalidParameterError):

@@ -98,6 +98,22 @@ class TestQuery:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, extra, message",
+        [
+            ("id,a,b\nx,1,2\ny,3,oops\n", [], "'oops' at line 3, column 'b'"),
+            ("id,a,b\nx,1,2\ny,3\n", [], "line 3 has 2 cells"),
+            ("a,b\n1,2\n", ["--id-column", "id"], "not in header"),
+        ],
+    )
+    def test_bad_input_exits_2_in_one_line(self, tmp_path, capsys, text, extra, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main(["query", str(path), "--k", "1", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert message in err
+
     def test_invalid_k_is_reported(self, sample_csv, capsys):
         code = main(["query", str(sample_csv), "--k", "0", "--id-column", "id"])
         assert code == 1
@@ -127,6 +143,27 @@ class TestGenerate:
         code = main(["query", str(out_csv), "--k", "3", "--id-column", "id"])
         assert code == 0
         assert "rank" in capsys.readouterr().out
+
+    def test_generated_id_column_is_detected(self, tmp_path, capsys):
+        out_csv = tmp_path / "ind.csv"
+        assert main(["generate", "ind", "--n", "120", "--dim", "4", "--out", str(out_csv)]) == 0
+        capsys.readouterr()
+
+        assert main(["query", str(out_csv), "--k", "3"]) == 0
+        detected = capsys.readouterr().out.split("\n\n")[0]  # the answer table
+        assert main(["query", str(out_csv), "--k", "3", "--id-column", "id"]) == 0
+        assert capsys.readouterr().out.split("\n\n")[0] == detected
+
+        assert main(["info", str(out_csv)]) == 0
+        out = capsys.readouterr().out
+        assert "objects:       120" in out
+        assert "dimensions:    4" in out
+
+    def test_explicit_id_column_wins_over_detection(self, tmp_path, capsys):
+        path = tmp_path / "named.csv"
+        path.write_text("id,key,a\n1,x,5\n2,y,6\n")
+        assert main(["info", str(path), "--id-column", "key"]) == 0
+        assert "dimensions:    2" in capsys.readouterr().out
 
     def test_generate_real_simulator(self, tmp_path, capsys):
         out_csv = tmp_path / "nba.csv"
