@@ -97,14 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         "planner price it); bit-identical to the monolithic answer",
     )
     query.add_argument(
-        "--memory-budget",
-        default=None,
-        metavar="BYTES",
-        help="resident-memory budget for shard tables (accepts K/M/G/T suffixes, "
-        "default: $REPRO_MEMORY_BUDGET); partitioned queries whose tables "
-        "exceed it run out-of-core from memory-mapped spill files",
-    )
-    query.add_argument(
         "--store",
         default=None,
         metavar="DIR",
@@ -342,13 +334,6 @@ def _cmd_query(args) -> int:
 
 def _run_query(args) -> int:
     dataset = _load_csv(args)
-    if args.memory_budget is not None and args.partitions is None:
-        print(
-            "error: --memory-budget requires --partitions "
-            "(only sharded queries spill; monolithic queries never consult it)",
-            file=sys.stderr,
-        )
-        return 2
     if args.sweep_k is not None:
         if args.partitions is not None:
             print("error: --partitions applies to single queries, not --sweep-k", file=sys.stderr)
@@ -406,14 +391,7 @@ def _run_partitioned(args, dataset) -> int:
             )
             return 2
     store_dir = args.store if args.store is not None else os.environ.get("REPRO_CACHE_DIR")
-    from .engine.session import parse_memory_budget
-
-    try:
-        budget = parse_memory_budget(args.memory_budget)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    engine = QueryEngine(store=store_dir or None, memory_budget=budget)
+    engine = QueryEngine(store=store_dir or None)
     if args.explain:
         from .engine.planner import plan_partitioned
 
@@ -425,7 +403,6 @@ def _run_partitioned(args, dataset) -> int:
                 args.k,
                 partitions=None if isinstance(partitions, str) else partitions,
                 workers=args.workers,
-                memory_budget=engine.memory_budget,
             ).summary()
         )
     result = engine.query(dataset, args.k, partitions=partitions, workers=args.workers)

@@ -855,20 +855,6 @@ class PreparedDataset:
         return self._tables is not None
 
     @property
-    def is_memory_mapped(self) -> bool:
-        """True when the storage arrays are views over a file mapping.
-
-        Spilled shards (``store.SpilledTables``) attach this way: their
-        pages are file-backed and clean, so dropping the instance releases
-        them without a write-back — byte budgets that police *anonymous*
-        RAM (``PreparedDatasetCache``) must not charge them at full price.
-        """
-        return any(
-            isinstance(arr.base if arr.base is not None else arr, np.memmap)
-            for arr in self.storage_arrays()
-        )
-
-    @property
     def rebuild_cost_per_byte(self) -> float:
         """Measured build seconds per byte held — the eviction currency."""
         return self.build_seconds / max(self.nbytes, 1)

@@ -584,8 +584,6 @@ def execute_partitioned(
     tie_break: str = "index",
     rng=None,
     summary_bins: int = _SUMMARY_BINS,
-    memory_budget: "int | None" = None,
-    spill_store=None,
 ):
     """Answer one TKD query through the two-phase partition protocol.
 
@@ -598,14 +596,6 @@ def execute_partitioned(
     ``workers=N`` (N ≥ 2) fans both phases out over a process pool; the
     sequential path reuses *engine*'s shared prepared-dataset cache and
     store warm-start per shard.
-
-    With *spill_store* and *memory_budget* set, shard tables live as
-    memory-mapped spill files in the store and only a bounded resident
-    set of attachments is kept hot (out-of-core mode): phase 1 builds
-    each shard's structures, spills them, and drops the anonymous RAM
-    copy; phase 2 re-attaches shards on demand through the engine
-    cache's resident-set manager, so peak RSS tracks *memory_budget*
-    instead of the sum of all shard tables.
     """
     from ..core.result import TKDResult, select_top_k, validate_k
     from ..core.stats import QueryStats
@@ -617,40 +607,19 @@ def execute_partitioned(
     pool_workers = 0 if workers is None else int(workers)
     if pool_workers < 0:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-    spill = spill_store is not None
 
     # -- phase 1: local scores + summaries ---------------------------------
     start_p1 = _clock()
     shm_metas: dict[str, dict] = {}
-    provider = None
+    prepared_shards: list[PreparedDataset] = []
     with telemetry.trace("partition.phase1") as span:
-        span.set("shards", len(shards)).set("workers", pool_workers).set("spill", spill)
+        span.set("shards", len(shards)).set("workers", pool_workers)
         if pool_workers > 1 and len(shards) > 1:
             locals_, summaries, pool, shm_metas = _phase1_parallel(
-                view,
-                engine,
-                min(pool_workers, len(shards)),
-                summary_bins,
-                spill_store if spill else None,
+                view, engine, min(pool_workers, len(shards)), summary_bins
             )
-        elif spill:
-            # Out-of-core: build → spill → drop, never holding more than the
-            # resident set of mmap attachments (plus the one shard in build).
-            pool = None
-            locals_, summaries = [], []
-            budget = memory_budget if memory_budget is not None else 0
-            provider = lambda shard: _attach_spilled(engine, spill_store, shard, budget)
-            for shard in shards:
-                prepared = provider(shard)
-                locals_.append(
-                    dominated_counts(shard.dataset, prepared=prepared).astype(np.int64, copy=False)
-                )
-                summaries.append(ShardSummary.build(shard.dataset, bins=summary_bins))
-                del prepared  # resident-set manager decides what stays mapped
         else:
             pool = None
-            prepared_shards = []
-            provider = lambda shard: prepared_shards[shards.index(shard)]
             locals_, summaries = [], []
             for shard in shards:
                 prepared = _shard_prepared(engine, shard)
@@ -692,7 +661,7 @@ def execute_partitioned(
             refined = np.zeros(0, dtype=np.intp)
             exchange_windows = 0
             if len(shards) > 1:
-                exchange = _Exchanger(view, pool, provider, lo, hi, shm_metas)
+                exchange = _Exchanger(view, pool, prepared_shards, lo, hi, shm_metas)
                 # τ refinement: exactly score the highest-upper-bound head
                 # first; the k-th best of those *actual* scores is a sound —
                 # and usually far tighter — lower bound on the global k-th.
@@ -725,11 +694,9 @@ def execute_partitioned(
     finally:
         # Segments the phase-1 workers exported on our behalf: the pool
         # outlives this query (it is the shared session pool), so the
-        # names must go now, success or not. Spill metas carry no "name";
-        # their files belong to the store and persist across queries.
+        # names must go now, success or not.
         for meta in shm_metas.values():
-            if "name" in meta:
-                unlink_shared(meta["name"])
+            unlink_shared(meta["name"])
 
     with telemetry.trace("partition.select") as span:
         eligible = np.zeros(n, dtype=bool)
@@ -775,7 +742,6 @@ def execute_partitioned(
         phase2_seconds=phase2_seconds,
         merge="tree" if merge_groups else "flat",
         merge_groups=merge_groups,
-        spill=spill,
         exchange_windows=exchange_windows,
     )
     return TKDResult.from_selection(
@@ -874,49 +840,6 @@ def _shard_prepared(engine, shard: PartitionShard) -> PreparedDataset:
     return PreparedDataset(shard.dataset)
 
 
-def _spill_prepared(store, fingerprint: str, dataset) -> "tuple[PreparedDataset, int]":
-    """Attach a shard's tables from its spill file, building it on a miss.
-
-    Build → spill → reattach keeps the hot copy file-backed: dropping
-    the attachment returns clean pages to the OS with no write-back.
-    Falls back to the anonymous RAM build if the spill write fails
-    (disk full), so out-of-core mode degrades rather than erroring.
-    """
-    spilled = store.get_shard_tables(fingerprint)
-    if spilled is None:
-        built = PreparedDataset(dataset)
-        built.warm()
-        try:
-            spilled = store.put_shard_tables(fingerprint, built)
-        except OSError:
-            return built, built.nbytes
-        del built
-    return spilled.prepared(), spilled.nbytes
-
-
-def _attach_spilled(engine, store, shard: PartitionShard, budget: int) -> PreparedDataset:
-    """Resident-set entry point: the shard's mmap-backed PreparedDataset.
-
-    Attachments are LRU-managed by the engine cache's resident-set
-    manager under *budget* bytes; evicting one just drops the mapping
-    (the spill file stays), so a re-attach is a page-cache hit, not a
-    rebuild.
-    """
-    if engine is not None:
-        cache = engine.dataset_cache
-    else:
-        from .session import _shared_dataset_cache
-
-        cache = _shared_dataset_cache
-    fingerprint = shard.fingerprint()
-    dataset = shard.dataset
-    return cache.attach_spilled(
-        fingerprint,
-        lambda: _spill_prepared(store, fingerprint, dataset),
-        max_resident_bytes=budget,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Process-pool workers
 # ---------------------------------------------------------------------------
@@ -956,9 +879,7 @@ def _cleanup_exported() -> None:  # pragma: no cover - crash net
     _EXPORTED_NAMES.clear()
 
 
-def _shard_payload(
-    shard: PartitionShard, store_dir: str | None, bins: int, spill: bool = False
-) -> tuple:
+def _shard_payload(shard: PartitionShard, store_dir: str | None, bins: int) -> tuple:
     dataset = shard.dataset
     return (
         shard.fingerprint(),
@@ -966,7 +887,6 @@ def _shard_payload(
         dataset.directions,
         store_dir,
         bins,
-        spill,
         telemetry.propagation_context(),
     )
 
@@ -977,10 +897,7 @@ def _phase1_worker(payload: tuple):
     Besides the phase-1 answer, the worker exports its freshly prepared
     structures into a shared-memory segment (``owner=False``: the parent
     adopts cleanup by name) so phase-2 tasks landing on *other* workers
-    attach zero-copy instead of re-preparing the shard. In spill mode
-    the store's spill file *is* the shared medium: the worker builds and
-    spills the shard, then serves (and advertises, via a spill meta) the
-    mmap attachment instead of an anonymous shm segment.
+    attach zero-copy instead of re-preparing the shard.
 
     The trailing payload element is the coordinator's trace context;
     spans recorded here come back as the trailing result element.
@@ -989,22 +906,9 @@ def _phase1_worker(payload: tuple):
 
     from ..core.dataset import IncompleteDataset
 
-    fingerprint, values, directions, store_dir, bins, spill, trace_ctx = payload
+    fingerprint, values, directions, store_dir, bins, trace_ctx = payload
     telemetry.begin_remote(trace_ctx)
     dataset = IncompleteDataset(values, directions=directions)
-    if spill and store_dir:
-        from .store import PersistentStore
-
-        with telemetry.trace("partition.phase1.shard") as span:
-            span.set("n", dataset.n).set("spill", True)
-            store = PersistentStore(store_dir)
-            prepared, _ = _spill_prepared(store, fingerprint, dataset)
-            local = dominated_counts(dataset, prepared=prepared).astype(np.int64, copy=False)
-            summary = ShardSummary.build(dataset, bins=bins)
-            _cache_worker_shard(fingerprint, prepared)
-            spilled = store.get_shard_tables(fingerprint)
-        meta = spilled.meta() if spilled is not None else None
-        return local, summary, meta, telemetry.end_remote()
     with telemetry.trace("partition.phase1.shard") as span:
         span.set("n", dataset.n)
         prepared = None
@@ -1050,23 +954,13 @@ def _phase2_worker(payload: tuple) -> tuple:
     span.set("rows", int(probe_lo.shape[0]))
     prepared = _WORKER_SHARDS.get(fingerprint)
     if prepared is None and shm_meta is not None:
-        if shm_meta.get("kind") == "spill":
-            from .store import SpilledTables
-
-            try:
-                prepared = SpilledTables.from_meta(shm_meta).prepared()
-            except (OSError, ValueError, KeyError):
-                prepared = None  # spill file gone; rebuild locally below
-            if prepared is not None:
-                _cache_worker_shard(fingerprint, prepared)
-        else:
-            try:
-                handle = SharedTables.attach(shm_meta)
-            except (OSError, ValueError):
-                handle = None  # segment gone; rebuild locally below
-            if handle is not None:
-                prepared = handle.prepared()
-                _cache_worker_shard(fingerprint, prepared, handle)
+        try:
+            handle = SharedTables.attach(shm_meta)
+        except (OSError, ValueError):
+            handle = None  # segment gone; rebuild locally below
+        if handle is not None:
+            prepared = handle.prepared()
+            _cache_worker_shard(fingerprint, prepared, handle)
     if prepared is None:
         prepared = PreparedDataset(IncompleteDataset(values, directions=directions))
         _cache_worker_shard(fingerprint, prepared)
@@ -1075,25 +969,21 @@ def _phase2_worker(payload: tuple) -> tuple:
     return counts, telemetry.end_remote()
 
 
-def _phase1_parallel(
-    view: PartitionedDataset, engine, pool_size: int, bins: int, spill_store=None
-):
+def _phase1_parallel(view: PartitionedDataset, engine, pool_size: int, bins: int):
     """Fan phase 1 out over the shared session pool.
 
     Returns ``(locals, summaries, pool, shm_metas)`` — the pool stays
     open for phase 2 (and for the next query: it is the process-global
     :func:`repro.engine.session._process_pool`), and ``shm_metas`` maps
-    shard fingerprints to the transfer handles the workers exported:
-    shared-memory metas (whose cleanup the caller now owns) or, in
-    spill mode, store-owned spill-file metas (nothing to clean up).
+    shard fingerprints to the shared-memory metas the workers exported
+    (whose cleanup the caller now owns).
     """
     from .session import _process_pool
 
-    spill = spill_store is not None
-    store = spill_store if spill else getattr(engine, "store", None)
+    store = getattr(engine, "store", None)
     store_dir = str(store.directory) if store is not None else None
     pool = _process_pool(pool_size)
-    payloads = [_shard_payload(shard, store_dir, bins, spill) for shard in view.shards]
+    payloads = [_shard_payload(shard, store_dir, bins) for shard in view.shards]
     results = list(pool.map(_phase1_worker, payloads))
     for r in results:
         telemetry.absorb_spans(r[3])
@@ -1109,14 +999,12 @@ class _Exchanger:
     """One phase-2 exchange surface serving both τ refinement and the
     final candidate exchange (in-process or over the phase-1 pool)."""
 
-    def __init__(self, view, pool, provider, lo, hi, shm_metas=None) -> None:
+    def __init__(self, view, pool, prepared, lo, hi, shm_metas=None) -> None:
         self._view = view
         self._pool = pool
-        #: ``shard -> PreparedDataset`` callable — a list lookup on the
-        #: resident path, the resident-set attach in spill mode. Holding
-        #: a callable instead of the prepared list keeps this object
-        #: from pinning every shard's tables in RAM at once.
-        self._provider = provider
+        #: Per-shard PreparedDatasets of the in-process path (empty when
+        #: the pool holds the shards).
+        self._prepared = prepared
         self._lo = lo
         self._hi = hi
         self._shm_metas = shm_metas or {}
@@ -1146,13 +1034,11 @@ class _Exchanger:
         window = self._window_rows()
         self.windows += -(-rows.size // window)
         if self._pool is None:
-            # Shard-major: table attaches dominate in spill mode, so each
-            # shard is attached once; the inner windows bound the gathered
-            # sentinel temporaries instead.
-            for shard in self._view.shards:
+            # Shard-major: the inner windows bound the gathered sentinel
+            # temporaries.
+            for shard, prepared in zip(self._view.shards, self._prepared):
                 foreign = rows[(rows < shard.start) | (rows >= shard.stop)]
                 if foreign.size:
-                    prepared = self._provider(shard)
                     for start in range(0, foreign.size, window):
                         sel = foreign[start : start + window]
                         total[sel] += prepared.foreign_dominated_counts(

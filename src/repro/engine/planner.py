@@ -653,23 +653,14 @@ class PartitionPlan:
     survival: float
     #: One-line human-readable justification.
     reason: str = ""
-    #: True when the plan expects out-of-core execution: the shards'
-    #: table footprint exceeds the memory budget, so tables spill to
-    #: memory-mapped store files under a resident-set budget.
-    spill: bool = False
-    #: Estimated total prepared-table bytes across all shards.
-    table_bytes: int = 0
 
     def summary(self) -> str:
-        text = (
+        return (
             f"partition plan: {self.action} (P={self.partitions}, W={self.workers}) — "
             f"partitioned {self.estimated_seconds * 1e3:.1f}ms vs "
             f"monolithic {self.monolithic_seconds * 1e3:.1f}ms, "
             f"est. survival {self.survival:.0%} ({self.reason})"
         )
-        if self.spill:
-            text += f" [out-of-core: ~{self.table_bytes / 1e6:.0f}MB of shard tables spill]"
-        return text
 
 
 def estimate_survival(n: int, k: int, missing_rate: float, partitions: int) -> float:
@@ -746,7 +737,6 @@ def plan_partitioned(
     *,
     partitions: int | None = None,
     workers: int | None = None,
-    memory_budget: int | None = None,
 ) -> PartitionPlan:
     """Price partitioned vs. monolithic execution for one query.
 
@@ -754,34 +744,14 @@ def plan_partitioned(
     still executes a forced ``partitions=P`` request either way — the
     plan is what ``partitions="auto"`` consults). Otherwise a small
     ladder of worker-aligned candidates is searched.
-
-    *memory_budget* adds the out-of-core dimension: when the monolithic
-    tables alone would exceed it, partitioning is forced (the monolithic
-    engine cannot run at all) and the shard count is doubled until one
-    shard's tables fit in ``budget/8`` — so a resident set of at least
-    ~8 shard tables cycles under the budget while the rest stay spilled
-    on disk. ``plan.spill`` reports whether execution will go
-    out-of-core at the chosen P.
     """
     if n <= 0 or d <= 0:
         raise InvalidParameterError(f"need n >= 1 and d >= 1, got n={n} d={d}")
     workers = max(int(workers), 1) if workers is not None else max(os.cpu_count() or 1, 1)
     monolithic = min(estimate_costs(n, d, missing_rate, k).values())
 
-    budget = None if memory_budget is None else max(int(memory_budget), 1)
-    # Non-None exactly when the budget *forces* partitioning (the
-    # monolithic tables alone would not fit).
-    forced_budget = (
-        budget if budget is not None and _bitset_table_bytes(n, d) > budget else None
-    )
     if partitions is not None:
         ladder = [max(int(partitions), 1)]
-    elif forced_budget is not None:
-        per_shard_target = max(forced_budget // 8, 1)
-        p = max(workers, 2)
-        while p < n and _bitset_table_bytes(math.ceil(n / p), d) > per_shard_target:
-            p *= 2
-        ladder = [min(p, n)]
     else:
         ladder = sorted({workers, 2 * workers, 4}) if workers > 1 else [4]
     best_p: int | None = None
@@ -795,15 +765,7 @@ def plan_partitioned(
             best_p, best = p, costs
     assert best_p is not None and best is not None  # ladder is never empty
 
-    table_bytes = best_p * _bitset_table_bytes(math.ceil(n / best_p), d)
-    spill = budget is not None and table_bytes > budget
-    if forced_budget is not None:
-        action = "partition"
-        reason = (
-            f"monolithic tables (~{_bitset_table_bytes(n, d) / 1e9:.1f}GB) exceed "
-            f"the {forced_budget / 1e6:.0f}MB memory budget — out-of-core is the only route"
-        )
-    elif best["total"] < monolithic:
+    if best["total"] < monolithic:
         action = "partition"
         reason = f"sharded bounds repay the exchange at n={n}, d={d}, k={k}"
     else:
@@ -819,8 +781,6 @@ def plan_partitioned(
         monolithic_seconds=monolithic,
         survival=best["survival"],
         reason=reason,
-        spill=spill,
-        table_bytes=int(table_bytes),
     )
 
 

@@ -77,7 +77,6 @@ from .backend import SharedTables, select_backend, set_native_threads
 from .kernels import (
     PreparedDataset,
     SentinelDelta,
-    _bitset_table_bytes,
     dominated_counts,
     dominator_masks,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "PreparedDatasetCache",
     "dataset_fingerprint",
     "default_engine",
-    "parse_memory_budget",
     "shared_prepared",
     "shutdown_pool",
 ]
@@ -145,38 +143,6 @@ def dataset_fingerprint(dataset) -> str:
     from ..core.dataset import content_fingerprint  # deferred: core imports the engine
 
     return content_fingerprint(dataset)
-
-
-def parse_memory_budget(value) -> int | None:
-    """Parse a memory budget: bytes, or a string with a K/M/G/T suffix.
-
-    Accepts ``None`` (no budget), a number of bytes, or strings such as
-    ``"512M"``, ``"2G"``, ``"1048576"``. This is the one parser behind
-    ``QueryEngine(memory_budget=...)``, the ``REPRO_MEMORY_BUDGET``
-    environment variable and the CLI ``--memory-budget`` flag.
-    """
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        raise InvalidParameterError(f"memory budget must be bytes or a size string, got {value!r}")
-    if isinstance(value, (int, float)):
-        budget = int(value)
-    else:
-        text = str(value).strip()
-        scale = 1
-        suffixes = {"K": 1024, "M": 1024**2, "G": 1024**3, "T": 1024**4}
-        if text and text[-1].upper() in suffixes:
-            scale = suffixes[text[-1].upper()]
-            text = text[:-1].strip()
-        try:
-            budget = int(float(text) * scale)
-        except ValueError:
-            raise InvalidParameterError(
-                f"memory budget must be bytes or a size string like '512M', got {value!r}"
-            ) from None
-    if budget <= 0:
-        raise InvalidParameterError(f"memory budget must be >= 1 byte, got {value!r}")
-    return budget
 
 
 def _freeze(value):
@@ -226,8 +192,6 @@ class EngineStats:
     prepared_patched_forward: int = 0
     #: Queries answered through the two-phase partitioned protocol.
     partitioned_queries: int = 0
-    #: Partitioned queries that ran out-of-core (spilled shard tables).
-    spilled_queries: int = 0
     #: Planner-triggered shard rebalances (adaptive repartitioner).
     repartitions: int = 0
     #: Gauge: max(shard sizes)/mean(shard sizes) of the most recently
@@ -258,7 +222,6 @@ class EngineStats:
         self.prepared_loaded += other.prepared_loaded
         self.prepared_patched_forward += other.prepared_patched_forward
         self.partitioned_queries += other.partitioned_queries
-        self.spilled_queries += other.spilled_queries
         self.repartitions += other.repartitions
         # A gauge, not a counter: keep the worst skew either side saw.
         self.partition_imbalance = max(self.partition_imbalance, other.partition_imbalance)
@@ -287,8 +250,6 @@ class EngineStats:
             text += f", patched forward {self.prepared_patched_forward}x"
         if self.partitioned_queries:
             text += f", partitioned {self.partitioned_queries}"
-            if self.spilled_queries:
-                text += f" ({self.spilled_queries} out-of-core)"
             text += f", imbalance {self.partition_imbalance:.2f}"
         if self.repartitions:
             text += f", repartitions {self.repartitions}"
@@ -366,18 +327,10 @@ class PreparedDatasetCache:
             raise InvalidParameterError(f"cache budget must be >= 1 byte, got {max_bytes}")
         self.max_bytes = int(max_bytes)
         self._data: OrderedDict[str, PreparedDataset] = OrderedDict()
-        #: Resident set of *memory-mapped* spilled-shard entries, budgeted
-        #: separately from :attr:`max_bytes` — their pages are file-backed
-        #: and clean, so "evict" means "drop the mapping", never
-        #: "recompute the tables" (see :meth:`attach_spilled`).
-        self._resident: OrderedDict[str, tuple[PreparedDataset, int]] = OrderedDict()
         self._lock = make_lock("cache")
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.resident_hits = 0
-        self.resident_misses = 0
-        self.resident_evictions = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -452,73 +405,6 @@ class PreparedDatasetCache:
             self._data.move_to_end(fingerprint)
             self._enforce()
 
-    # -- resident set of memory-mapped spilled shards -----------------------
-
-    def attach_spilled(
-        self, fingerprint: str, loader, *, max_resident_bytes: int
-    ) -> PreparedDataset:
-        """The resident-set manager of out-of-core partitioned execution.
-
-        Returns the mmap-attached :class:`PreparedDataset` for a spilled
-        shard, attaching through *loader* — a zero-argument callable
-        returning ``(prepared, nbytes)`` — on first touch. Entries are
-        LRU-ordered under ``max_resident_bytes`` (the caller's memory
-        budget): overflow drops the least recently used *mapping*, which
-        releases its clean file-backed pages to the OS without losing any
-        computed state — reattaching later is another lazy ``mmap``, not
-        a table rebuild. The ``resident_hits`` / ``resident_misses`` /
-        ``resident_evictions`` counters are what the out-of-core
-        benchmark reports as the hit rate.
-        """
-        with self._lock:
-            entry = self._resident.get(fingerprint)
-            if entry is not None:
-                self._resident.move_to_end(fingerprint)
-                self.resident_hits += 1
-                if telemetry.enabled():
-                    telemetry.metrics().count("spill.attach.hit")
-                return entry[0]
-            self.resident_misses += 1
-        # Load outside the lock: a miss may build + spill a shard's
-        # tables, which must not serialize every other cache user.
-        with telemetry.trace("spill.attach") as span:
-            prepared, nbytes = loader()
-            span.set("bytes", int(nbytes))
-        evicted = 0
-        with self._lock:
-            self._resident[fingerprint] = (prepared, int(nbytes))
-            self._resident.move_to_end(fingerprint)
-            while (
-                len(self._resident) > 1
-                and sum(entry[1] for entry in self._resident.values()) > max_resident_bytes
-            ):
-                self._resident.popitem(last=False)
-                self.resident_evictions += 1
-                evicted += 1
-        if telemetry.enabled():
-            registry = telemetry.metrics()
-            registry.count("spill.attach.miss")
-            if evicted:
-                registry.count("spill.evict", evicted)
-        return prepared
-
-    @property
-    def resident_bytes(self) -> int:
-        """Mapped footprint of the spilled-shard resident set."""
-        with self._lock:
-            return sum(entry[1] for entry in self._resident.values())
-
-    @property
-    def resident_hit_rate(self) -> float:
-        with self._lock:
-            touches = self.resident_hits + self.resident_misses
-            return self.resident_hits / touches if touches else 0.0
-
-    def drop_spilled(self) -> None:
-        """Release every mapped spilled-shard entry (counters kept)."""
-        with self._lock:
-            self._resident.clear()
-
     def _enforce(self) -> None:
         while len(self._data) > 1 and self._total_bytes() > self.max_bytes:
             # Spare the most recently used entry (the caller is about to
@@ -537,13 +423,9 @@ class PreparedDatasetCache:
         """
         with self._lock:
             self._data.clear()
-            self._resident.clear()
             self.hits = 0
             self.misses = 0
             self.evictions = 0
-            self.resident_hits = 0
-            self.resident_misses = 0
-            self.resident_evictions = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         with self._lock:
@@ -652,16 +534,6 @@ class QueryEngine:
         ``REPRO_NATIVE_THREADS``). Process-wide like ``backend``; row
         blocks write disjoint output ranges, so any thread count is
         bit-identical. A no-op when the native backend is unavailable.
-    memory_budget: resident-set byte budget for partitioned queries —
-        bytes, or a size string (``"512M"``, ``"2G"``; see
-        :func:`parse_memory_budget`). When a partitioned query's total
-        shard-table footprint exceeds it, execution goes out-of-core:
-        shard tables are spilled to memory-mapped store files and only a
-        budget-bounded resident set stays attached at once (answers stay
-        bit-identical). Defaults to the ``REPRO_MEMORY_BUDGET``
-        environment variable when set, else unlimited. Spills land in
-        :attr:`store` when one is configured, else in a private
-        temporary directory cleaned up with the engine.
     trace: turn hierarchical span tracing on (``True``) or off
         (``False``) — see :mod:`repro.engine.telemetry`. Process-wide
         like ``backend`` (and shared with the ``REPRO_TRACE``
@@ -683,7 +555,6 @@ class QueryEngine:
         store: "PersistentStore | str | Path | None" = None,
         backend: str | None = None,
         native_threads: "int | str | None" = None,
-        memory_budget: "int | str | None" = None,
         trace: "bool | None" = None,
     ) -> None:
         if trace is not None:
@@ -716,13 +587,6 @@ class QueryEngine:
         if isinstance(store, (str, Path)):
             store = PersistentStore(store)
         self._store = store
-        if memory_budget is None:
-            memory_budget = os.environ.get("REPRO_MEMORY_BUDGET") or None
-        self.memory_budget = parse_memory_budget(memory_budget)
-        #: Lazily created private spill store for engines without a
-        #: persistent one; its directory dies with the engine.
-        self._ephemeral_spill: "PersistentStore | None" = None
-        self._ephemeral_spill_cleanup = None
         if self._store is not None:
             state = self._store.load_planner()
             if state:
@@ -737,27 +601,6 @@ class QueryEngine:
     def store(self) -> "PersistentStore | None":
         """The persistent store this session reads and fills (if any)."""
         return self._store
-
-    def _spill_store(self) -> PersistentStore:
-        """Where out-of-core shard tables spill.
-
-        The configured :attr:`store` when present (spills then persist
-        and warm-start future processes); otherwise a private temporary
-        directory, removed when the engine is garbage-collected (and by
-        an atexit net — a crashed process must not strand gigabytes).
-        """
-        if self._store is not None:
-            return self._store
-        if self._ephemeral_spill is None:
-            import shutil
-            import tempfile
-
-            spill_dir = tempfile.mkdtemp(prefix="repro-spill-")
-            self._ephemeral_spill = PersistentStore(spill_dir)
-            self._ephemeral_spill_cleanup = weakref.finalize(
-                self, shutil.rmtree, spill_dir, ignore_errors=True
-            )
-        return self._ephemeral_spill
 
     # -- identity -----------------------------------------------------------
 
@@ -1299,7 +1142,6 @@ class QueryEngine:
                 dataset.missing_rate,
                 k,
                 workers=workers,
-                memory_budget=self.memory_budget,
             )
             if plan.action != "partition":
                 return self.query(dataset, k, tie_break=tie_break, rng=rng)
@@ -1393,20 +1235,6 @@ class QueryEngine:
         with self._lock:
             self.stats.partition_imbalance = float(view.imbalance)
 
-        # Out-of-core route: when the shards' table footprint exceeds the
-        # memory budget, spill tables to mapped store files and keep only
-        # a budget-bounded resident set attached.
-        spill_store = None
-        if self.memory_budget is not None:
-            table_bytes = sum(
-                _bitset_table_bytes(shard.n, dataset.d) for shard in view.shards
-            )
-            if table_bytes > self.memory_budget:
-                spill_store = self._spill_store()
-                root.set("spill", True)
-                with self._lock:
-                    self.stats.spilled_queries += 1
-
         start = _clock()
         result = execute_partitioned(
             view,
@@ -1415,8 +1243,6 @@ class QueryEngine:
             workers=workers,
             tie_break=tie_break,
             rng=rng,
-            memory_budget=self.memory_budget if spill_store is not None else None,
-            spill_store=spill_store,
         )
         elapsed = _clock() - start
         root.set("measured_seconds", elapsed)

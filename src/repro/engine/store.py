@@ -67,7 +67,6 @@ except ImportError:  # pragma: no cover - platform-dependent
 
 __all__ = [
     "PersistentStore",
-    "SpilledTables",
     "StoreStats",
     "STORE_SCHEMA",
     "MAX_LINEAGE_PAYLOAD_CELLS",
@@ -80,12 +79,11 @@ __all__ = [
 #: 4: planner calibration records gained per-kernel-backend speedups
 #:    ("backends"), so a cold process auto-selects its backend without
 #:    re-measuring.
-#: 5: spilled shard tables — raw aligned binary files (``shard-*.bin``)
-#:    plus a shards index, attachable as memory-mapped views for
-#:    out-of-core partitioned execution.
-#: 6: prepared and shard layouts carry value-keyed tables (one row per
-#:    distinct value, ``sorted_hi``/``sorted_lo`` hold distinct values)
-#:    and no longer the ``hi_order``/``lo_order`` sort permutations.
+#: 5: shard-table files (``shard-*.bin`` plus ``shards.json``); no longer
+#:    written or read, only removed by :meth:`PersistentStore.clear`.
+#: 6: prepared layouts carry value-keyed tables (one row per distinct
+#:    value, ``sorted_hi``/``sorted_lo`` hold distinct values) and no
+#:    longer the ``hi_order``/``lo_order`` sort permutations.
 STORE_SCHEMA = 6
 
 #: Deltas at most this many matrix cells embed their payload in the
@@ -101,17 +99,6 @@ _DEFAULT_STORE_BUDGET_BYTES = 64 * 1024 * 1024
 #: words per distinct value, dimension and direction each).
 _DEFAULT_PREPARED_BUDGET_BYTES = 256 * 1024 * 1024
 
-#: Default byte budget for spilled shard tables. Spill files are the
-#: backing store of out-of-core partitioned queries — the whole point is
-#: that they exceed RAM — so the disk budget is generous; ``compact()``
-#: age-evicts stale ones.
-_DEFAULT_SHARD_BUDGET_BYTES = 16 * 1024 * 1024 * 1024
-
-#: Spill-file arrays start on this alignment (matches the shared-memory
-#: segment layout in :mod:`repro.engine.backend`), so mapped views are
-#: cache-line aligned.
-_SPILL_ALIGN = 64
-
 #: Half-life (seconds) of the age decay in the eviction cost model: an
 #: entry this old is worth half its rebuild-seconds-per-byte, so stale
 #: entries yield before equally-expensive fresh ones.
@@ -121,7 +108,6 @@ _RESULTS_FILE = "results.json"
 _PLANNER_FILE = "planner.json"
 _LINEAGE_FILE = "lineage.json"
 _PREPARED_FILE = "prepared.json"
-_SHARDS_FILE = "shards.json"
 _LOCK_FILE = ".lock"
 
 #: Ceiling on recorded lineage entries; compaction prunes the oldest.
@@ -144,8 +130,9 @@ class StoreStats:
     evictions: int = 0
     #: Times a stale-format (schema/version mismatch) file was ignored.
     invalidations: int = 0
-    #: Spilled shard files dropped by budget or age eviction.
-    evicted_shard_files: int = 0
+    #: Times a damaged file (truncated, not JSON, not a JSON object) read
+    #: as empty. A missing file is a plain miss and is not counted.
+    corrupt: int = 0
 
     def merge(self, other: "StoreStats") -> None:
         """Fold another handle's counters in (used by parallel query_many)."""
@@ -154,15 +141,15 @@ class StoreStats:
         self.writes += other.writes
         self.evictions += other.evictions
         self.invalidations += other.invalidations
-        self.evicted_shard_files += other.evicted_shard_files
+        self.corrupt += other.corrupt
 
     def summary(self) -> str:
         text = (
             f"store: {self.hits}/{self.hits + self.misses} warm hits, "
             f"{self.writes} writes, {self.evictions} evictions"
         )
-        if self.evicted_shard_files:
-            text += f", {self.evicted_shard_files} spilled shard files dropped"
+        if self.corrupt:
+            text += f", {self.corrupt} corrupt files ignored"
         return text
 
 
@@ -260,87 +247,6 @@ def result_digest(fingerprint: str, k: int, algorithm: str, options_key: tuple) 
     return hashlib.sha256(raw.encode()).hexdigest()
 
 
-def _write_spill(handle, state: dict) -> tuple[list, int]:
-    """Write prepared-state arrays to *handle* as aligned raw binary.
-
-    Returns ``(layout, total_bytes)`` where layout rows are
-    ``[key, dtype_str, shape, offset]`` — everything a reader needs to
-    rebuild zero-copy views over one mapping (mirrors the
-    ``SharedTables`` segment layout in :mod:`repro.engine.backend`).
-    """
-    import numpy as np
-
-    layout: list = []
-    offset = 0
-    for key in sorted(state):
-        arr = np.ascontiguousarray(state[key])
-        aligned = -(-offset // _SPILL_ALIGN) * _SPILL_ALIGN
-        if aligned > offset:
-            handle.write(b"\x00" * (aligned - offset))
-        handle.write(arr.tobytes())
-        layout.append([str(key), arr.dtype.str, list(arr.shape), aligned])
-        offset = aligned + arr.nbytes
-    return layout, offset
-
-
-class SpilledTables:
-    """One shard's prepared tables as read-only views over a mapped file.
-
-    The out-of-core analogue of ``backend.SharedTables``: instead of a
-    ``/dev/shm`` segment the arrays live in a ``shard-*.bin`` store file,
-    and *attaching* is an ``mmap`` — no bytes are read until the kernels
-    touch them, and dropping the handle releases the (clean, file-backed)
-    pages back to the OS. That makes eviction under a resident-set budget
-    "drop the mapping", not "recompute the tables".
-    """
-
-    __slots__ = ("path", "layout", "nbytes", "_mapped")
-
-    def __init__(self, path, layout, *, nbytes: int = 0) -> None:
-        self.path = Path(path)
-        self.layout = [
-            (str(key), str(dtype), tuple(int(x) for x in shape), int(offset))
-            for key, dtype, shape, offset in layout
-        ]
-        self.nbytes = int(nbytes)
-        self._mapped = None
-
-    def meta(self) -> dict:
-        """Picklable attach recipe (what pool workers receive)."""
-        return {
-            "kind": "spill",
-            "file": str(self.path),
-            "layout": [list(row) for row in self.layout],
-            "bytes": self.nbytes,
-        }
-
-    @classmethod
-    def from_meta(cls, meta: dict) -> "SpilledTables":
-        return cls(meta["file"], meta["layout"], nbytes=int(meta.get("bytes") or 0))
-
-    def arrays(self) -> dict:
-        """Zero-copy (read-only) views over the mapped spill file."""
-        import numpy as np
-
-        if self._mapped is None:
-            self._mapped = np.memmap(self.path, dtype=np.uint8, mode="r")
-        out = {}
-        for key, dtype, shape, offset in self.layout:
-            out[key] = np.ndarray(shape, dtype=np.dtype(dtype), buffer=self._mapped, offset=offset)
-        return out
-
-    def prepared(self):
-        """A query-serving ``PreparedDataset`` over the mapped arrays.
-
-        The instance is read-only (its storage pages are a ``mode="r"``
-        mapping): it answers every count/mask kernel, but delta patching
-        must go through ``patched()`` copies, never in place.
-        """
-        from .kernels import PreparedDataset  # deferred: session imports this module
-
-        return PreparedDataset.from_state(self.arrays())
-
-
 class PersistentStore:
     """An on-disk, cross-process cache keyed by content fingerprints.
 
@@ -362,7 +268,6 @@ class PersistentStore:
         *,
         max_bytes: int = _DEFAULT_STORE_BUDGET_BYTES,
         max_prepared_bytes: int = _DEFAULT_PREPARED_BUDGET_BYTES,
-        max_shard_bytes: int = _DEFAULT_SHARD_BUDGET_BYTES,
     ) -> None:
         if max_bytes <= 0:
             raise InvalidParameterError(f"store budget must be >= 1 byte, got {max_bytes}")
@@ -370,15 +275,10 @@ class PersistentStore:
             raise InvalidParameterError(
                 f"prepared budget must be >= 1 byte, got {max_prepared_bytes}"
             )
-        if max_shard_bytes <= 0:
-            raise InvalidParameterError(
-                f"shard spill budget must be >= 1 byte, got {max_shard_bytes}"
-            )
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.max_bytes = int(max_bytes)
         self.max_prepared_bytes = int(max_prepared_bytes)
-        self.max_shard_bytes = int(max_shard_bytes)
         self.stats = StoreStats()
         self._lock = make_lock("store")
         self._version = _package_version()
@@ -420,13 +320,22 @@ class PersistentStore:
         os.replace(tmp, target)
 
     def _read_file(self, name: str) -> dict | None:
-        """Parse one store file; stale versions and corrupt JSON read as absent."""
+        """Parse one store file; missing, stale and damaged files read as absent.
+
+        Damaged files (truncated, not JSON, not a JSON object) are counted
+        in :attr:`StoreStats.corrupt` and the ``store.corrupt`` metric.
+        """
         target = self.directory / name
         try:
             payload = json.loads(target.read_text())
-        except (OSError, ValueError):
+        except OSError:
             return None
+        except ValueError:
+            payload = None
         if not isinstance(payload, dict):
+            self.stats.corrupt += 1
+            if telemetry.enabled():
+                telemetry.metrics().count("store.corrupt")
             return None
         if payload.get("schema") != STORE_SCHEMA or payload.get("version") != self._version:
             self.stats.invalidations += 1
@@ -810,121 +719,16 @@ class PersistentStore:
     def _prepared_bytes(entries: dict) -> int:
         return sum(int(body.get("bytes") or 0) for body in entries.values())
 
-    # -- spilled shard tables -----------------------------------------------
-
-    def _shard_path(self, fingerprint: str) -> Path:
-        return self.directory / f"shard-{fingerprint[:40]}.bin"
-
-    def _load_shard_index(self) -> dict:
-        payload = self._read_file(_SHARDS_FILE)
-        entries = payload.get("entries", {}) if payload else {}
-        return entries if isinstance(entries, dict) else {}
-
-    def _write_shard_index(self, entries: dict) -> None:
-        self._atomic_write(
-            _SHARDS_FILE,
-            {"schema": STORE_SCHEMA, "version": self._version, "entries": entries},
-        )
-
-    def put_shard_tables(self, fingerprint: str, prepared) -> "SpilledTables":
-        """Spill one shard's prepared tables to a memory-mappable file.
-
-        Unlike :meth:`put_prepared` (compressed ``.npz``, loaded whole),
-        the shard file is raw aligned binary so readers attach it with
-        ``mmap`` and touch only the pages a query actually probes — the
-        storage layer of out-of-core partitioned execution. Returns the
-        attachable :class:`SpilledTables` handle for the fresh file.
-        """
-        state = prepared.state_arrays()
-        target = self._shard_path(fingerprint)
-        tmp = target.with_name(f"{target.name}.tmp-{os.getpid()}-{threading.get_ident()}")
-        with self._locked(exclusive=True):
-            with open(tmp, "wb") as handle:
-                layout, total = _write_spill(handle, state)
-            os.replace(tmp, target)
-            entries = dict(self._load_shard_index())
-            entries[str(fingerprint)] = {
-                "file": target.name,
-                "layout": layout,
-                "bytes": int(total),
-                "build_seconds": float(prepared.build_seconds),
-                "n": int(prepared.n),
-                "d": int(prepared.d),
-                "created": _wall_clock(),
-            }
-            self.stats.writes += 1
-            self._evict_shards(entries, keep=str(fingerprint))
-            self._write_shard_index(entries)
-        return SpilledTables(target, layout, nbytes=int(total))
-
-    def get_shard_tables(self, fingerprint: str) -> "SpilledTables | None":
-        """The attachable spill handle for one shard fingerprint, or ``None``.
-
-        Cheap: returns the handle without mapping or reading the file —
-        pages fault in lazily when the attached ``PreparedDataset`` is
-        probed.
-        """
-        with self._locked(exclusive=False):
-            entry = self._load_shard_index().get(str(fingerprint))
-        if not isinstance(entry, dict):
-            return None
-        path = self.directory / str(entry.get("file", ""))
-        layout = entry.get("layout")
-        if not isinstance(layout, list) or not path.exists():
-            return None
-        try:
-            return SpilledTables(path, layout, nbytes=int(entry.get("bytes") or 0))
-        except (TypeError, ValueError):
-            return None
-
-    def shard_entries(self) -> list[dict]:
-        """Metadata of every spilled shard file (sans layout)."""
-        with self._locked(exclusive=False):
-            entries = self._load_shard_index()
-        return [
-            {"fingerprint": fp, **{k: v for k, v in body.items() if k != "layout"}}
-            for fp, body in entries.items()
-        ]
-
-    def _evict_shards(self, entries: dict, *, now: float | None = None, keep=None) -> None:
-        """Budget the spill files by age-decayed build-cost-per-byte.
-
-        *keep* shields the entry a caller is about to attach — evicting a
-        file whose mapping is being handed out would fault the reader.
-        """
-        if now is None:
-            now = _wall_clock()
-        while len(entries) > 1 and self._shard_bytes(entries) > self.max_shard_bytes:
-            candidates = [fp for fp in entries if fp != keep]
-            if not candidates:
-                break
-            victim = min(
-                candidates,
-                key=lambda fp: _effective_cost_per_byte(entries[fp], now, field="build_seconds"),
-            )
-            body = entries.pop(victim)
-            try:
-                (self.directory / str(body.get("file", ""))).unlink()
-            except OSError:
-                pass
-            self.stats.evictions += 1
-            self.stats.evicted_shard_files += 1
-
-    @staticmethod
-    def _shard_bytes(entries: dict) -> int:
-        return sum(int(body.get("bytes") or 0) for body in entries.values())
-
     # -- compaction ---------------------------------------------------------
 
     def compact(self, *, now: float | None = None) -> dict:
         """One full maintenance pass (what ``repro cache compact`` runs).
 
         Replaces the greedy per-write-only eviction for long-lived
-        deployments: re-budgets result entries, prepared tables, and
-        spilled shard files under the age-decayed cost model, drops
-        index entries whose files vanished, removes orphaned
-        ``prepared-*.npz`` / ``shard-*.bin`` files nothing references,
-        and prunes lineage records beyond the retention cap. Returns a
+        deployments: re-budgets result entries and prepared tables under
+        the age-decayed cost model, drops index entries whose files
+        vanished, removes orphaned ``prepared-*.npz`` files nothing
+        references, and prunes lineage records beyond the retention cap. Returns a
         summary dict of what was reclaimed.
         """
         if now is None:
@@ -933,9 +737,7 @@ class PersistentStore:
         summary = {
             "result_evictions": 0,
             "prepared_evictions": 0,
-            "shard_evictions": 0,
             "orphans_removed": 0,
-            "shard_orphans_removed": 0,
             "lineage_pruned": 0,
         }
         with self._locked(exclusive=True):
@@ -970,30 +772,6 @@ class PersistentStore:
                         pass
             self._write_prepared_index(prepared)
 
-            # Spilled shards: same treatment — the files of dropped
-            # partitioned views would otherwise accumulate forever.
-            shards = dict(self._load_shard_index())
-            dangling = [
-                fp
-                for fp, body in shards.items()
-                if not (self.directory / str(body.get("file", ""))).exists()
-            ]
-            for fp in dangling:
-                del shards[fp]
-            before = self.stats.evicted_shard_files
-            self._evict_shards(shards, now=now)
-            summary["shard_evictions"] = self.stats.evicted_shard_files - before
-            referenced = {str(body.get("file")) for body in shards.values()}
-            for path in self.directory.glob("shard-*.bin"):
-                if path.name not in referenced:
-                    try:
-                        path.unlink()
-                        summary["shard_orphans_removed"] += 1
-                        self.stats.evicted_shard_files += 1
-                    except OSError:
-                        pass
-            self._write_shard_index(shards)
-
             # Lineage: keep the freshest records up to the retention cap.
             payload = self._read_file(_LINEAGE_FILE)
             lineage = payload.get("entries", {}) if payload else {}
@@ -1010,8 +788,6 @@ class PersistentStore:
                 )
         summary["result_bytes"] = self._total_bytes(entries)
         summary["prepared_bytes"] = self._prepared_bytes(prepared)
-        summary["shard_bytes"] = self._shard_bytes(shards)
-        summary["evicted_shard_files"] = self.stats.evicted_shard_files
         return summary
 
     # -- planner calibration ------------------------------------------------
@@ -1065,11 +841,18 @@ class PersistentStore:
         ]
 
     def clear(self) -> None:
-        """Drop every persisted entry (results, planner, lineage, prepared)."""
+        """Drop every persisted entry (results, planner, lineage, prepared).
+
+        Also removes ``shards.json`` and ``shard-*.bin``, the shard-table
+        files older versions wrote, so their store directories can still
+        be emptied. Nothing else reads those files.
+        """
         with self._lock:
             self._pending_lineage = []
         with self._locked(exclusive=True):
-            for name in (_RESULTS_FILE, _PLANNER_FILE, _LINEAGE_FILE, _PREPARED_FILE, _SHARDS_FILE):
+            for name in (
+                _RESULTS_FILE, _PLANNER_FILE, _LINEAGE_FILE, _PREPARED_FILE, "shards.json"
+            ):
                 try:
                     (self.directory / name).unlink()
                 except FileNotFoundError:
@@ -1090,7 +873,6 @@ class PersistentStore:
             entries = self._load_entries()
             planner = self._read_file(_PLANNER_FILE) is not None
             prepared = self._load_prepared_index()
-            shards = self._load_shard_index()
             lineage_payload = self._read_file(_LINEAGE_FILE)
         lineage = lineage_payload.get("entries", {}) if lineage_payload else {}
         text = (
@@ -1103,12 +885,6 @@ class PersistentStore:
             text += (
                 f"\nprepared tables: {len(prepared)} entries, "
                 f"{self._prepared_bytes(prepared)}/{self.max_prepared_bytes} bytes"
-            )
-        if shards or self.stats.evicted_shard_files:
-            text += (
-                f"\nspilled shards: {len(shards)} files, "
-                f"{self._shard_bytes(shards)}/{self.max_shard_bytes} bytes, "
-                f"{self.stats.evicted_shard_files} evicted_shard_files"
             )
         if lineage:
             depth = max(

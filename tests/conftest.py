@@ -57,46 +57,9 @@ def _no_ambient_store(monkeypatch):
     Engines pick the store up from the environment by design; under test
     that would write into (and warm-start from) the developer's real
     store, making runs order-dependent. Tests that want a store set the
-    variable (or pass ``store=``) explicitly. Same for the ambient
-    ``REPRO_MEMORY_BUDGET`` — except when the harness itself asks for a
-    budget via ``REPRO_TEST_MEMORY_BUDGET`` (CI's tiny-budget leg, which
-    re-runs the partition suites with out-of-core execution forced on).
+    variable (or pass ``store=``) explicitly.
     """
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    test_budget = os.environ.get("REPRO_TEST_MEMORY_BUDGET")
-    if test_budget:
-        monkeypatch.setenv("REPRO_MEMORY_BUDGET", test_budget)
-    else:
-        monkeypatch.delenv("REPRO_MEMORY_BUDGET", raising=False)
-
-
-def _spill_dirs() -> set[str]:
-    """Ephemeral spill directories engines without a store create."""
-    import glob
-    import tempfile
-
-    return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-spill-*")))
-
-
-@pytest.fixture(autouse=True)
-def _no_spill_leaks():
-    """Fail any test that leaves an ephemeral spill directory behind.
-
-    Store-less engines spill shard tables under ``repro-spill-*`` temp
-    directories with a finalizer-backed cleanup; a surviving directory
-    after the engine is gone is leaked disk. (Tests that keep an engine
-    alive in a module/session fixture hold theirs legitimately — this
-    only diffs against directories born during the test.)
-    """
-    before = _spill_dirs()
-    yield
-    import gc
-
-    leaked = _spill_dirs() - before
-    if leaked:
-        gc.collect()  # run pending engine finalizers before judging
-        leaked = _spill_dirs() - before
-    assert not leaked, f"leaked spill directories: {sorted(leaked)}"
 
 
 @pytest.fixture(scope="session")

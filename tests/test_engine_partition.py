@@ -16,16 +16,18 @@ from repro.core.dataset import IncompleteDataset
 from repro.core.delta import DatasetDelta
 from repro.core.naive import naive_tkd
 from repro.core.score import score_all
-from repro.engine.kernels import PreparedDataset, _bounds
+from repro.engine.kernels import PreparedDataset, _bounds, dominated_counts
 from repro.engine.partition import (
     PartitionedDataset,
     ShardSummary,
+    _merged_upper_bounds,
     execute_partitioned,
 )
 from repro.engine.planner import (
     estimate_partition_costs,
     estimate_survival,
     plan_partitioned,
+    plan_repartition,
 )
 from repro.engine.session import PreparedDatasetCache, QueryEngine
 from repro.errors import InvalidParameterError
@@ -436,3 +438,89 @@ class TestPartitionedScoresAgainstScoreAll:
         got = dict(zip(result.indices, result.scores))
         for row, score in got.items():
             assert score == int(full[row])
+
+
+class TestRebalance:
+    def test_repartition_restores_balance_bit_identically(self):
+        ds = random_dataset(120, seed=10)
+        engine = fresh_engine()
+        engine.query(ds, 10, partitions=4)
+        # One skewed burst: a 60-row insert delta lands on a single shard
+        # (30 rows/shard before, 90 after → imbalance 2.0 > 1.5).
+        rng = np.random.default_rng(11)
+        delta = DatasetDelta.inserting(ds, rng.integers(0, 6, size=(60, 4)).astype(float))
+        child = engine.apply_delta(ds, delta)
+        view = engine._partitioned.get(child.fingerprint())
+        assert view is not None and view.imbalance > 1.5
+        assert engine.stats.partition_imbalance > 1.5
+        assert plan_repartition(view.sizes, ds.d).action == "rebalance"
+        result = engine.query(child, 10, partitions=4)
+        assert engine.stats.repartitions == 1
+        assert engine.stats.partition_imbalance < 1.5
+        rebalanced = engine._partitioned.get(child.fingerprint())
+        assert rebalanced.imbalance < 1.5
+        rebalanced.validate()
+        cold = fresh_engine().query(child, 10)
+        assert result.ids == cold.ids
+        np.testing.assert_array_equal(result.scores, cold.scores)
+
+    def test_rebalance_view_answers_identically_before_and_after(self):
+        ds = random_dataset(150, seed=12, payload_nan=True)
+        view = PartitionedDataset(ds, 5)
+        delta = DatasetDelta.inserting(ds, np.full((50, 4), 2.0))
+        child = ds.apply_delta(delta)
+        skewed, _ = view.apply_delta(delta, child=child)
+        assert skewed.imbalance > 1.5
+        before = execute_partitioned(skewed, 10)
+        balanced, advanced = skewed.rebalance()
+        balanced.validate()
+        assert balanced.imbalance < 1.2
+        assert advanced  # rows actually moved
+        after = execute_partitioned(balanced, 10)
+        assert after.ids == before.ids
+        np.testing.assert_array_equal(after.scores, before.scores)
+
+
+class TestHierarchicalMerge:
+    def test_tree_merge_kicks_in_and_stays_exact(self):
+        ds = random_dataset(400, seed=13, payload_nan=True)
+        want = naive_tkd(ds, 10)
+        result = execute_partitioned(PartitionedDataset(ds, 24), 10)
+        assert result.stats.extra["merge"] == "tree"
+        assert result.stats.extra["merge_groups"] >= 2
+        assert result.ids == want.ids
+        np.testing.assert_array_equal(result.scores, want.scores)
+        flat = execute_partitioned(PartitionedDataset(ds, 8), 10)
+        assert flat.stats.extra["merge"] == "flat"
+        assert flat.ids == want.ids
+
+    def test_tree_bounds_dominate_true_scores(self):
+        ds = random_dataset(300, seed=14, missing=0.5)
+        view = PartitionedDataset(ds, 20)
+        lo, hi = _bounds(ds)
+        summaries = [ShardSummary.build(s.dataset) for s in view.shards]
+        lower = np.concatenate(
+            [dominated_counts(s.dataset).astype(np.int64) for s in view.shards]
+        )
+        exact = dominated_counts(ds).astype(np.int64)
+        tau = int(np.partition(lower, ds.n - 10)[ds.n - 10])
+        upper, groups = _merged_upper_bounds(
+            view.shards, summaries, lower, lo, hi, tau
+        )
+        assert groups >= 2
+        assert (upper >= exact).all()
+
+    def test_grid_sketch_is_sound_and_tightens(self):
+        ds = random_dataset(256, seed=15, missing=0.4)
+        lo, hi = _bounds(ds)
+        summary = ShardSummary.build(ds)
+        assert summary.grids  # d=4 → two dimension-pair grids
+        prepared = PreparedDataset(ds)
+        exact = prepared.foreign_dominated_counts(lo, hi)
+        assert (summary.upper_bound_counts(lo) >= exact).all()
+        assert (summary.upper_bound_counts(lo, hi) >= exact).all()
+        # The grids can only lower the per-dimension bound.
+        bare = ShardSummary(
+            summary.count, summary.values, summary.lo_values, summary.ranks
+        )
+        assert (summary.upper_bound_counts(lo) <= bare.upper_bound_counts(lo)).all()

@@ -15,6 +15,7 @@ import pytest
 import repro
 from repro import IncompleteDataset, QueryEngine, top_k_dominating
 from repro.core.result import TKDResult
+from repro.engine import telemetry
 from repro.engine.planner import calibration
 from repro.engine.session import EngineStats
 from repro.engine.store import STORE_SCHEMA, PersistentStore
@@ -133,18 +134,31 @@ class TestSchemaVersioning:
         assert PersistentStore(tmp_path).get_result("fp", 1, "naive", ()) is None
 
     def test_corrupt_file_reads_as_empty_and_recovers(self, tmp_path):
+        missing = PersistentStore(tmp_path)
+        assert missing.get_result("fp", 1, "naive", ()) is None
+        assert missing.stats.corrupt == 0  # a missing file is a plain miss
         (tmp_path / "results.json").write_text("{ not json !!")
         store = PersistentStore(tmp_path)
-        assert store.get_result("fp", 1, "naive", ()) is None
+        was = telemetry.enabled()
+        before = telemetry.metrics().counter_value("store.corrupt")
+        telemetry.set_enabled(True)
+        try:
+            assert store.get_result("fp", 1, "naive", ()) is None
+        finally:
+            telemetry.set_enabled(was)
+        assert telemetry.metrics().counter_value("store.corrupt") == before + 1
+        assert store.stats.corrupt == 1
+        assert "1 corrupt files ignored" in store.stats.summary()
+        (tmp_path / "planner.json").write_text("[1, 2]")  # JSON, but not an object
+        assert store.load_planner() is None
+        assert store.stats.corrupt == 2
         store.put_result("fp", 1, "naive", (), _result())  # overwrites the wreck
         assert PersistentStore(tmp_path).get_result("fp", 1, "naive", ()) is not None
 
-    def test_schema5_prepared_and_shard_files_are_stale(self, tmp_path):
+    def test_schema5_prepared_files_are_stale(self, tmp_path):
         """Schema-5 files hold rank-resolution tables and sort orders; they
         must be counted as stale and rebuilt, never loaded as value tables."""
         from repro.engine.kernels import PreparedDataset, dominated_counts
-        from repro.engine.partition import _spill_prepared
-        from repro.engine.store import _write_spill
 
         rng = np.random.default_rng(5)
         values = rng.integers(1, 6, size=(150, 3)).astype(float)
@@ -156,7 +170,6 @@ class TestSchemaVersioning:
         expected = dominated_counts(ds, prepared=prepared)
         store = PersistentStore(tmp_path)
         store.put_prepared("fp", prepared)
-        store.put_shard_tables("fp", prepared)
 
         old = _schema5_state(prepared)
         prepared_index = json.loads((tmp_path / "prepared.json").read_text())
@@ -164,17 +177,10 @@ class TestSchemaVersioning:
             np.savez(handle, **old)
         prepared_index["schema"] = 5
         (tmp_path / "prepared.json").write_text(json.dumps(prepared_index))
-        shard_index = json.loads((tmp_path / "shards.json").read_text())
-        entry = shard_index["entries"]["fp"]
-        with open(tmp_path / entry["file"], "wb") as handle:
-            entry["layout"], entry["bytes"] = _write_spill(handle, old)
-        shard_index["schema"] = 5
-        (tmp_path / "shards.json").write_text(json.dumps(shard_index))
 
         reopened = PersistentStore(tmp_path)
         assert reopened.get_prepared("fp") is None
-        assert reopened.get_shard_tables("fp") is None
-        assert reopened.stats.invalidations >= 2
+        assert reopened.stats.invalidations >= 1
 
         # Rebuilt: a fresh write lands in the current schema and loads.
         fresh = PreparedDataset(ds)
@@ -183,11 +189,7 @@ class TestSchemaVersioning:
         loaded = PersistentStore(tmp_path).get_prepared("fp")
         assert loaded is not None and loaded.tables_ready
         np.testing.assert_array_equal(dominated_counts(ds, prepared=loaded), expected)
-        attached, _ = _spill_prepared(reopened, "fp", ds)
-        assert reopened.get_shard_tables("fp") is not None
-        np.testing.assert_array_equal(dominated_counts(ds, prepared=attached), expected)
-        for name in ("prepared.json", "shards.json"):
-            assert json.loads((tmp_path / name).read_text())["schema"] == STORE_SCHEMA
+        assert json.loads((tmp_path / "prepared.json").read_text())["schema"] == STORE_SCHEMA
 
 
 def _schema5_state(prepared) -> dict:
@@ -283,15 +285,40 @@ class TestPlannerPersistence:
 
 
 class TestMaintenance:
-    def test_clear_drops_everything_and_resets_stats(self, tmp_path):
+    def test_clear_drops_everything_and_resets_stats(self, tmp_path, fig3_dataset):
+        from repro.engine.kernels import PreparedDataset
+
         store = PersistentStore(tmp_path)
         store.put_result("fp", 1, "naive", (), _result())
         store.save_planner({"bias": {}})
+        prepared = PreparedDataset(fig3_dataset)
+        prepared.tables(build=True)
+        store.put_prepared("fp", prepared)
+        # Shard-table files as older versions wrote them (schema 6, this
+        # package version): nothing reads them, and they must neither
+        # disturb warm reads nor survive clear().
+        (tmp_path / "shards.json").write_text(
+            json.dumps(
+                {
+                    "schema": STORE_SCHEMA,
+                    "version": repro.__version__,
+                    "entries": {
+                        "fp": {"file": "shard-fp.bin", "layout": [], "bytes": 64, "n": 20, "d": 4}
+                    },
+                }
+            )
+        )
+        (tmp_path / "shard-fp.bin").write_bytes(b"\x00" * 64)
+        reopened = PersistentStore(tmp_path)
+        assert reopened.get_result("fp", 1, "naive", ()) is not None
+        assert reopened.get_prepared("fp").tables_ready
+        assert reopened.stats.corrupt == 0 and reopened.stats.invalidations == 0
         store.get_result("fp", 1, "naive", ())
         store.clear()
         assert len(store) == 0
         assert store.load_planner() is None
         assert store.stats.hits == 0 and store.stats.writes == 0
+        assert {path.name for path in tmp_path.iterdir()} <= {".lock"}
 
     def test_summary_and_entries_render(self, tmp_path):
         store = PersistentStore(tmp_path)

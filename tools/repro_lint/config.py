@@ -26,16 +26,7 @@ GUARDED_CLASSES: dict[str, dict] = {
     },
     "PreparedDatasetCache": {
         "locks": {"_lock"},
-        "attrs": {
-            "_data",
-            "_resident",
-            "hits",
-            "misses",
-            "evictions",
-            "resident_hits",
-            "resident_misses",
-            "resident_evictions",
-        },
+        "attrs": {"_data", "hits", "misses", "evictions"},
     },
     "_LRU": {
         "locks": {"_lock"},
